@@ -12,12 +12,8 @@ from .series import (
     LaurentPoly,
     SubspaceTag,
     as_matrix,
-    lp_adjoint,
-    lp_det,
     lp_det_cofactor,
-    lp_eval,
     lp_mul,
-    lp_project,
     poly_gap,
 )
 from .structured import (
@@ -100,12 +96,8 @@ __all__ = [
     "identity_residual_triple",
     "inclusion_residuals",
     "inverse_margin",
-    "lp_adjoint",
-    "lp_det",
     "lp_det_cofactor",
-    "lp_eval",
     "lp_mul",
-    "lp_project",
     "margin_for",
     "poly_gap",
     "random_fixture",

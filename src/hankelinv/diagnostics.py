@@ -227,10 +227,10 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
     entries += check_zero_locations(data).entries
 
     if g is None and not CheckReport(entries).any_fail:
-        from .solver import solve_polynomial  # deferred: solver imports this module
+        from .solver import _b_side_g  # deferred: solver imports this module
 
         try:
-            g = solve_polynomial(data, tol=tol).g
+            g = _b_side_g(data)
         except ValueError:
             g = None
     if g is not None:

@@ -27,10 +27,8 @@ def _fmt_number(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    if not math.isfinite(x):
+        return "null"  # strict JSON has no NaN or Infinity
     return f"{x:.17g}"
 
 
@@ -203,7 +201,7 @@ def _jsonable(value):
 
 
 def solve_report_to_json(report) -> dict:
-    out = {
+    return {
         "method": report.method,
         "g": poly_to_json(report.g),
         "residual_identities": list(report.residual_identities),
@@ -214,9 +212,6 @@ def solve_report_to_json(report) -> dict:
         "flags": list(report.flags),
         "details": _jsonable(report.details),
     }
-    if report.phi is not None:
-        out["phi"] = poly_to_json(report.phi)
-    return out
 
 
 def check_report_to_json(report) -> dict:

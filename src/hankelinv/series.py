@@ -340,22 +340,6 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(rows, cols, acc)
 
 
-def lp_adjoint(f: LaurentPoly) -> LaurentPoly:
-    return f.adjoint()
-
-
-def lp_project(f: LaurentPoly, tag: SubspaceTag) -> LaurentPoly:
-    return f.project(tag)
-
-
-def lp_eval(f: LaurentPoly, z):
-    return f.eval(z)
-
-
-def lp_det(f: LaurentPoly) -> LaurentPoly:
-    return f.det()
-
-
 def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:
     """Determinant by Laplace expansion; cross-check path for small sizes."""
     if f.rows != f.cols:

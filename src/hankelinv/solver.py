@@ -1,19 +1,25 @@
 """Recovery of the analytic symbol g from a data set.
 
-Three independent routes are implemented:
+Two independent computations stand under every polynomial-side answer:
+the b-side solve (a unit triangular block Toeplitz solve driven by the
+delta coefficients, followed by the beta product) and the c-side solve
+(an upper triangular system driven by the alpha and gamma coefficients).
 
-* ``solve_polynomial`` - exact closed-form coefficients through two block
-  triangular Toeplitz solves (one driven by the b/d pair, one by the a/c
-  pair), with the gap between the two sides reported;
-* ``solve_truncated`` - the operator route: solve the windowed systems
-  M11 x = b and M22 y = c and read the coefficients off the columns, with
-  smallest-singular-value certificates for the injectivity condition;
-* ``solve_factorization`` - the analytic-factorization route, available
-  per side whenever the corresponding determinant has no zeros on the
-  wrong side of the circle.
+* ``solve_polynomial`` - exact closed-form coefficients from the b-side,
+  with the gap to the c-side reported;
+* ``solve_factorization`` - the analytic-factorization view of the same
+  two sides: the alpha path is the c-side, the delta path the b-side, each
+  available whenever its determinant has no zeros on the wrong side of
+  the circle;
+* ``solve_dual_phi`` - the dual minus-side symbol, phi = g* for the b-side
+  g;
+* ``solve_truncated`` - the independent operator route: solve the
+  windowed systems M11 x = b and M22 y = c and read the coefficients off
+  the columns, with smallest-singular-value certificates for the
+  injectivity condition.
 
 ``tri_toeplitz_solve`` is the shared structured kernel: an O(m^2)
-block-recursive solver for triangular block Toeplitz systems.
+chunked solver for triangular block Toeplitz systems of any block size.
 """
 
 from __future__ import annotations
@@ -54,7 +60,6 @@ class SolveReport:
     residual_identities: tuple
     residual_inclusions: tuple
     cross_method_gap: float = None
-    phi: LaurentPoly = None
     tol: float = DEFAULT_TOL
     flags: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
@@ -86,43 +91,40 @@ def _stack_blocks(blocks, what):
     return arr
 
 
-def _chunked_scalar_lower(t, rhs, chunk=64):
-    """Forward recursion for a scalar lower triangular Toeplitz system.
+def _block_toeplitz(seq, n_cols):
+    """Dense block Toeplitz matrix whose block (i, j) is seq[i - j + n_cols - 1].
 
-    ``t`` holds the diagonal sequence (t[0] on the diagonal), ``rhs`` is
-    (m, r).  Work is O(m^2) split into Toeplitz-slice updates so that the
-    per-element cost stays at compiled speed.
+    ``seq`` is (n, k, k); the result has n - n_cols + 1 block rows and is
+    copied out of a strided view, so no index arrays are built.
     """
-    m = t.shape[0]
+    k = seq.shape[1]
+    win = np.lib.stride_tricks.sliding_window_view(seq, n_cols, axis=0)[..., ::-1]
+    return win.transpose(0, 1, 3, 2).reshape(-1, n_cols * k)
+
+
+def _chunked_unit_lower(u, rhs, chunk=64):
+    """Forward recursion for a block lower triangular Toeplitz system.
+
+    ``u`` is (m, k, k) with u[0] = I, so the system matrix is unit lower
+    triangular entry by entry; ``rhs`` is (m * k, r).  Work is O(m^2) block
+    products, split into dense triangular solves on ``chunk``-block
+    diagonal pieces and block Toeplitz updates of the rows below them.
+    """
+    m, k = u.shape[0], u.shape[1]
     x = np.empty_like(rhs)
     b = rhs.copy()
     ln = min(chunk, m)
-    first_col = np.concatenate([t[:1], np.zeros(ln - 1, dtype=t.dtype)])
-    lower = np.tril(scipy.linalg.toeplitz(t[:ln], first_col))
+    lower = _block_toeplitz(np.concatenate([np.zeros_like(u[: ln - 1]), u[:ln]]), ln)
     for s in range(0, m, chunk):
         e = min(s + chunk, m)
         w = e - s
-        x[s:e] = scipy.linalg.solve_triangular(lower[:w, :w], b[s:e], lower=True)
+        x[s * k : e * k] = scipy.linalg.solve_triangular(
+            lower[: w * k, : w * k], b[s * k : e * k],
+            lower=True, unit_diagonal=True, check_finite=False,
+        )
         if e < m:
-            # rows e..m-1 see the chunk through the Toeplitz slice t[e-s+i-j]
-            cross = scipy.linalg.toeplitz(t[w : w + (m - e)], t[w:0:-1][:w])
-            b[e:] -= cross @ x[s:e]
-    return x
-
-
-def _block_lower(tt, rhs, lu):
-    """Row-by-row forward recursion for block systems (small m path)."""
-    m = rhs.shape[0]
-    x = np.empty_like(rhs)
-    for i in range(m):
-        acc = rhs[i]
-        if i:
-            hist = min(i, tt.shape[0] - 1)
-            if hist:
-                acc = acc - np.einsum(
-                    "jkl,jlr->kr", tt[1 : hist + 1][::-1], x[i - hist : i]
-                )
-        x[i] = scipy.linalg.lu_solve(lu, acc)
+            # rows e..m-1 see the chunk through the blocks u[e-s+i-j]
+            b[e * k :] -= _block_toeplitz(u[1 : m - s], w) @ x[s * k : e * k]
     return x
 
 
@@ -146,10 +148,10 @@ def tri_toeplitz_solve(coeff_blocks, rhs_blocks, orientation="lower"):
 
     Notes
     -----
-    Cost is O(m^2) block multiplies; the inverse of the system matrix is
-    again triangular block Toeplitz, which is what the recursion exploits.
-    An upper system is solved by index reversal of the equivalent lower
-    system.
+    Cost is O(m^2) block multiplies for every block size: the block rows
+    are scaled by the inverse diagonal block, which leaves a unit lower
+    triangular matrix solved chunk by chunk.  An upper system is solved by
+    index reversal of the equivalent lower system.
     """
     if orientation not in ("lower", "upper"):
         raise ValueError(f"unknown orientation {orientation!r}")
@@ -174,11 +176,13 @@ def tri_toeplitz_solve(coeff_blocks, rhs_blocks, orientation="lower"):
     if np.linalg.cond(T[0]) > 1e12:
         raise SingularBlockError("diagonal block of the triangular system is singular")
 
-    if k == 1:
-        X = _chunked_scalar_lower(T[:, 0, 0], B[:, 0, :])[:, None, :]
-    else:
-        lu = scipy.linalg.lu_factor(T[0])
-        X = _block_lower(T, B, lu)
+    # Scaling every block row by T0^-1 makes the diagonal blocks I.  One
+    # solve over all blocks side by side costs far less than m small ones.
+    r = B.shape[2]
+    side = np.concatenate([T, B], axis=2).transpose(1, 0, 2).reshape(k, m * (k + r))
+    side = np.linalg.solve(T[0], side).reshape(k, m, k + r).transpose(1, 0, 2)
+    X = _chunked_unit_lower(side[:, :, :k], side[:, :, k:].reshape(m * k, r))
+    X = X.reshape(m, k, r)
     if orientation == "upper":
         X = X[::-1]
     return [X[i] for i in range(m)]
@@ -204,14 +208,13 @@ def _identity_gate(data: DataSet, tol: float, flags: list):
     return res
 
 
-def _report(data, g, method, id_res, tol, flags, details, phi=None):
+def _report(data, g, method, id_res, tol, flags, details):
     incl = diagnostics.inclusion_residuals(data, g)
     return SolveReport(
         g=g,
         method=method,
         residual_identities=tuple(id_res),
         residual_inclusions=incl,
-        phi=phi,
         tol=tol,
         flags=flags,
         details=details,
@@ -221,16 +224,17 @@ def _report(data, g, method, id_res, tol, flags, details, phi=None):
 # -- polynomial route ----------------------------------------------------------
 
 
-def _c_side_blocks(data: DataSet, m: int):
+def _c_side_blocks(data: DataSet):
     """Coefficients from the upper triangular system driven by a and c."""
+    m = data.m
     acols = [data.alpha.coeff(i).conj().T for i in range(m + 1)]
     rhs = [-data.gamma.coeff(-i).conj().T for i in range(m + 1)]
     return tri_toeplitz_solve(acols, rhs, orientation="upper")
 
 
-def _b_side_blocks(data: DataSet, m: int):
+def _b_side_blocks(data: DataSet):
     """Coefficients from the d-driven unit solve followed by the b product."""
-    q = data.q
+    m, q = data.m, data.q
     dcols = [data.delta.coeff(-j) for j in range(m + 1)]
     rhs = [np.zeros((q, q), dtype=complex) for _ in range(m)] + [np.eye(q, dtype=complex)]
     x = tri_toeplitz_solve(dcols, rhs, orientation="upper")
@@ -244,28 +248,26 @@ def _b_side_blocks(data: DataSet, m: int):
     return out
 
 
+def _b_side_g(data: DataSet) -> LaurentPoly:
+    """The b-side coefficients as a symbol."""
+    return LaurentPoly(data.p, data.q, dict(enumerate(_b_side_blocks(data))))
+
+
 def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     """Closed-form coefficients of g for polynomial data of degree <= m.
 
     Both triangular routes are computed and their gap is recorded; the
-    b-side result is returned.  The dual minus-side symbol phi is computed
-    as well and its adjoint gap against g is reported.
+    b-side result is returned.
     """
     data.corner_inverses()
     flags = []
     id_res = _identity_gate(data, tol, flags)
-    m = data.m
-    gb = _b_side_blocks(data, m)
-    gc = _c_side_blocks(data, m)
+    gb = _b_side_blocks(data)
+    gc = _c_side_blocks(data)
     gap = max(float(np.max(np.abs(b - c))) for b, c in zip(gb, gc))
-    g = LaurentPoly(data.p, data.q, {k: gb[k] for k in range(m + 1)})
-    phi = solve_dual_phi(data, tol=tol, _gate=False)
-    details = {
-        "two_sided_gap": gap,
-        "degree_bound": m,
-        "phi_adjoint_gap": poly_gap(phi.adjoint(), g),
-    }
-    return _report(data, g, "polynomial", id_res, tol, flags, details, phi=phi)
+    g = LaurentPoly(data.p, data.q, dict(enumerate(gb)))
+    details = {"two_sided_gap": gap, "degree_bound": data.m}
+    return _report(data, g, "polynomial", id_res, tol, flags, details)
 
 
 # -- truncated operator route --------------------------------------------------
@@ -369,29 +371,23 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
 def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     """Analytic-factorization solve; each side gated by zero locations.
 
-    The alpha side computes -(alpha^-* gamma*)_+ through the upper
-    triangular system in the adjoint alpha coefficients; the delta side is
-    the reflected construction through the adjoint delta coefficients.
-    When both sides clear their determinant gate their gap is reported.
+    The alpha path computes -(alpha^-* gamma*)_+, which is the c-side
+    solve of the polynomial route; the delta path is its b-side solve, the
+    d-driven unit solve followed by the b product.  When both paths clear
+    their determinant gate their gap is reported.
     """
     data.corner_inverses()
     flags = []
     id_res = _identity_gate(data, tol, flags)
-    m = data.m
     zeros = diagnostics.check_zero_locations(data)
     verdict_a = zeros.entry("alpha_det_zeros").verdict
     verdict_d = zeros.entry("delta_det_zeros").verdict
 
     g1 = g2 = None
     if verdict_a == "pass":
-        g1 = LaurentPoly(
-            data.p, data.q, {k: blk for k, blk in enumerate(_c_side_blocks(data, m))}
-        )
+        g1 = LaurentPoly(data.p, data.q, dict(enumerate(_c_side_blocks(data))))
     if verdict_d == "pass":
-        dcols = [data.delta.adjoint().coeff(i) for i in range(m + 1)]
-        rhs = [-data.beta.coeff(k).conj().T for k in range(m + 1)]
-        x = tri_toeplitz_solve(dcols, rhs, orientation="upper")
-        g2 = LaurentPoly(data.p, data.q, {k: x[k].conj().T for k in range(m + 1)})
+        g2 = _b_side_g(data)
 
     if g1 is None and g2 is None:
         raise FactorizationUnavailableError(
@@ -413,42 +409,25 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
 # -- the dual minus-side symbol ------------------------------------------------
 
 
-def solve_dual_phi(data: DataSet, tol: float = DEFAULT_TOL, _gate: bool = True) -> LaurentPoly:
+def solve_dual_phi(data: DataSet, tol: float = DEFAULT_TOL) -> LaurentPoly:
     """The unique minus-side polynomial paired with the b/d data.
 
     phi satisfies delta + phi beta - e_q in the strictly-plus class and
-    phi* delta + beta in the strictly-minus class; when all three data
-    identities hold, phi* equals g.  Computed from the last block row of
-    the inverse of the adjoint delta system applied to the adjoint beta
-    triangle.
+    phi* delta + beta in the strictly-minus class.  Its system matrix, the
+    lower triangular Toeplitz matrix of the adjoint delta coefficients, is
+    the adjoint of the b-side system, so phi = g* for the b-side g exactly,
+    for any data with d0 invertible.  Refuses when the second data identity
+    is violated beyond the refusal threshold.
     """
     data.corner_inverses()
-    if _gate:
-        res = identity_residual_triple(data)
-        if res[1] > REFUSAL_FACTOR * tol:
-            raise DataIdentityError(
-                f"second data identity residual {res[1]:.3e} too large for the dual solve",
-                residuals=res,
-                worst="identity_d",
-            )
-    m = data.m
-    p, q = data.p, data.q
-    ds = data.delta.adjoint()
-    dcols = [ds.coeff(j) for j in range(m + 1)]  # (delta*)_j = (d_{-j})*
-    # right-hand side: the adjoint beta triangle, one block row at a time
-    bs = data.beta.adjoint()
-    rhs = []
-    for i in range(m + 1):
-        row = np.zeros((q, (m + 1) * p), dtype=complex)
-        for j in range(i + 1):
-            row[:, j * p : (j + 1) * p] = bs.coeff(-(m - i + j))
-        rhs.append(row)
-    z = tri_toeplitz_solve(dcols, rhs, orientation="lower")
-    last = -z[m]
-    phi_coeffs = {
-        -j: last[:, j * p : (j + 1) * p] for j in range(m + 1)
-    }
-    return LaurentPoly(q, p, phi_coeffs)
+    res = identity_residual_triple(data)
+    if res[1] > REFUSAL_FACTOR * tol:
+        raise DataIdentityError(
+            f"second data identity residual {res[1]:.3e} too large for the dual solve",
+            residuals=res,
+            worst="identity_d",
+        )
+    return _b_side_g(data).adjoint()
 
 
 # -- method aggregation --------------------------------------------------------

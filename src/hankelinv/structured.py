@@ -35,17 +35,6 @@ class OpKind(enum.Enum):
     SHIFT_MINUS = "shift_minus"
 
 
-# (domain space, codomain space) per kind; DIAG_DELTA takes the caller's space.
-_SPACES = {
-    OpKind.TOEPLITZ_PLUS: ("plus", "plus"),
-    OpKind.TOEPLITZ_MINUS: ("minus", "minus"),
-    OpKind.HANKEL_PLUS: ("minus", "plus"),
-    OpKind.HANKEL_MINUS: ("plus", "minus"),
-    OpKind.SHIFT_PLUS: ("plus", "plus"),
-    OpKind.SHIFT_MINUS: ("minus", "minus"),
-}
-
-
 @dataclass(frozen=True)
 class Window:
     """A truncation window: N retained blocks and the exact margin."""
@@ -64,8 +53,6 @@ class StructuredOp:
     symbol: object           # LaurentPoly, matrix (DIAG_DELTA) or block dim (shifts)
     n_blocks: int
     block_shape: tuple       # (rows, cols) of one block
-    domain: str              # 'plus' or 'minus'
-    codomain: str
     dense: np.ndarray
     window: Window
 
@@ -102,9 +89,9 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
 
     ``symbol`` is a LaurentPoly for the Toeplitz/Hankel kinds, a square
     matrix r0 for DIAG_DELTA, and a block dimension (int) for the shifts.
-    ``space`` is only consulted for DIAG_DELTA, which lives on a single
-    space.  A window narrower than the symbol support is not an error; it
-    just comes back with margin 0.
+    ``space`` names the single space a DIAG_DELTA window lives on; its
+    dense window is the same on either space.  A window narrower than the
+    symbol support is not an error; it just comes back with margin 0.
     """
     N = int(n_blocks)
     if N < 1:
@@ -115,8 +102,7 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
         dense = np.zeros((N * n, N * n), dtype=complex)
         offset = 1 if kind is OpKind.SHIFT_PLUS else -1
         _fill_block_diagonal(dense, offset, np.eye(n, dtype=complex), N)
-        domain, codomain = _SPACES[kind]
-        return StructuredOp(kind, n, N, (n, n), domain, codomain, dense, Window(N, N - 1))
+        return StructuredOp(kind, n, N, (n, n), dense, Window(N, N - 1))
 
     if kind is OpKind.DIAG_DELTA:
         r0 = as_matrix(symbol)
@@ -124,7 +110,7 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
             raise ShapeError("diagonal operator needs a square block")
         n = r0.shape[0]
         dense = np.kron(np.eye(N), r0)
-        return StructuredOp(kind, r0, N, (n, n), space, space, dense, Window(N, N))
+        return StructuredOp(kind, r0, N, (n, n), dense, Window(N, N))
 
     if not isinstance(symbol, LaurentPoly):
         symbol = LaurentPoly.constant(symbol)
@@ -140,9 +126,8 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
         raise ValueError(f"unknown kind {kind}")
     for deg in symbol.degrees():
         _fill_block_diagonal(dense, deg + anchor, symbol.coeff(deg), N)
-    domain, codomain = _SPACES[kind]
     window = Window(N, margin_for(N, symbol))
-    return StructuredOp(kind, symbol, N, (br, bc), domain, codomain, dense, window)
+    return StructuredOp(kind, symbol, N, (br, bc), dense, window)
 
 
 def apply_column(op: StructuredOp, blocks) -> list:

@@ -134,6 +134,20 @@ def test_invert_inconclusive_window(g_file):
     assert cli.main(["invert", g_file, "--order", "2"]) == 6
 
 
+def test_invert_emits_strict_json(tmp_path, capsys):
+    # 0.1 + 0.2 z^8 at order 10 leaves undefined residuals, written as null
+    gpath = tmp_path / "g8.json"
+    g = LaurentPoly(1, 1, {0: [[0.1]], 8: [[0.2]]})
+    io_json.write_json(gpath, io_json.poly_to_json(g))
+    assert cli.main(["invert", str(gpath), "--order", "10"]) == 6
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert None in doc["lemma_suite"].values()
+
+
 def test_exit_code_is_function_of_report():
     from hankelinv.diagnostics import CheckEntry, CheckReport
 

@@ -141,6 +141,14 @@ def test_contraction_near_unit_norm():
 def test_contraction_solves_when_g_missing(deg0_fixture):
     rep = hv.check_strict_contraction(deg0_fixture.data)
     assert rep.entry("hankel_norm").value == pytest.approx(0.5)
+    # a matrix fixture of positive degree: the solved g gives the same report
+    fx = hv.random_fixture(p=2, q=3, m=5, target_norm=0.9, rng_seed=61)
+    solved = hv.check_strict_contraction(fx.data)
+    given = hv.check_strict_contraction(fx.data, fx.g)
+    assert [e.verdict for e in solved.entries] == [e.verdict for e in given.entries]
+    assert [e.name for e in solved.entries] == [e.name for e in given.entries]
+    gap = abs(solved.entry("hankel_norm").value - given.entry("hankel_norm").value)
+    assert gap <= 1e-12
 
 
 # -- verify_solution ---------------------------------------------------------------------
