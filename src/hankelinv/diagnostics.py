@@ -243,13 +243,8 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
         m = g.hi + 1 if not g.is_zero else 1
         g1 = g.shifted(-1).project(SubspaceTag.PLUS)
         corner1 = build(OpKind.HANKEL_PLUS, g1, m).dense
-        omega1 = np.block(
-            [
-                [np.eye(corner1.shape[0]), corner1],
-                [corner1.conj().T, np.eye(corner1.shape[1])],
-            ]
-        )
-        lam1 = float(np.linalg.eigvalsh(omega1)[0])
+        # Omega_1 = [[I, C], [C*, I]] has eigenvalues 1 +- sigma_i(C) and ones
+        lam1 = 1.0 - float(np.linalg.svd(corner1, compute_uv=False)[0])
         if norm < 1.0:
             entries.append(
                 CheckEntry(

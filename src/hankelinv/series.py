@@ -2,10 +2,15 @@
 
 The basic value type is :class:`LaurentPoly`: a matrix polynomial in z and
 1/z with complex coefficients, the concrete representation of symbols of
-Toeplitz and Hankel operators on the unit circle.  Coefficients are stored
-sparsely by integer degree.  After every arithmetic operation a coefficient
-whose largest entry falls below ``CANONICAL_TOL`` is dropped, so supports
-stay finite and comparisons stay meaningful.
+Toeplitz and Hankel operators on the unit circle.  A series is stored as
+the lowest degree of its support plus one ``(width, rows, cols)`` complex
+array holding the coefficients of every degree from there up, so each
+operation is a few whole-array numpy calls.  After every arithmetic
+operation a coefficient whose largest entry falls below ``CANONICAL_TOL``
+is set to zero and zero coefficients at either end are trimmed, so supports
+stay finite and comparisons stay meaningful.  Storage is dense over the
+support width: a series with two coefficients far apart holds every zero
+block between them.
 
 All values are immutable after construction (coefficient arrays are marked
 read-only); every operation is pure.
@@ -57,18 +62,30 @@ class SubspaceTag(enum.Enum):
     MINUS_ZERO = "minus_zero"
     DIAG = "diag"
 
-    def contains(self, degree: int) -> bool:
-        if self is SubspaceTag.FULL:
-            return True
-        if self is SubspaceTag.PLUS:
-            return degree >= 0
-        if self is SubspaceTag.MINUS:
-            return degree <= 0
-        if self is SubspaceTag.PLUS_ZERO:
-            return degree >= 1
-        if self is SubspaceTag.MINUS_ZERO:
-            return degree <= -1
-        return degree == 0
+
+# inclusive degree range of each tag; None leaves that side open
+_BOUNDS = {
+    SubspaceTag.FULL: (None, None),
+    SubspaceTag.PLUS: (0, None),
+    SubspaceTag.MINUS: (None, 0),
+    SubspaceTag.PLUS_ZERO: (1, None),
+    SubspaceTag.MINUS_ZERO: (None, -1),
+    SubspaceTag.DIAG: (0, 0),
+}
+
+
+def _canonicalise(lo, arr):
+    """Check the fresh array ``arr`` finite, zero its noise blocks, trim its
+    zero end blocks and freeze it; returns the new (lo, arr)."""
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    small = np.abs(arr).max(axis=(1, 2)) < CANONICAL_TOL
+    arr[small] = 0
+    arr.flags.writeable = False
+    keep = np.flatnonzero(~small)
+    if keep.size == 0:
+        return 0, arr[:0]
+    return lo + int(keep[0]), arr[keep[0] : keep[-1] + 1]
 
 
 class LaurentPoly:
@@ -83,25 +100,36 @@ class LaurentPoly:
         entry below ``CANONICAL_TOL``) are dropped.
     """
 
-    __slots__ = ("rows", "cols", "_coeffs")
+    __slots__ = ("rows", "cols", "_lo", "_arr")
 
     def __init__(self, rows, cols, coeffs=None):
         rows = int(rows)
         cols = int(cols)
         if rows < 1 or cols < 1:
             raise ShapeError("matrix dimensions must be positive")
-        stored = {}
-        if coeffs:
-            for deg, mat in coeffs.items():
-                mat = as_matrix(mat, rows, cols)
-                if np.max(np.abs(mat)) < CANONICAL_TOL:
-                    continue
-                mat = mat.copy()
-                mat.flags.writeable = False
-                stored[int(deg)] = mat
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_coeffs", stored)
+        mats = {int(deg): as_matrix(mat, rows, cols) for deg, mat in (coeffs or {}).items()}
+        lo = min(mats, default=0)
+        arr = np.zeros((max(mats, default=lo - 1) - lo + 1, rows, cols), dtype=complex)
+        for deg, mat in mats.items():
+            arr[deg - lo] = mat
+        self._set(rows, cols, *_canonicalise(lo, arr))
+
+    def _set(self, rows, cols, lo, arr):
+        arr.flags.writeable = False
+        for name, value in (("rows", rows), ("cols", cols), ("_lo", lo), ("_arr", arr)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _wrap(cls, rows, cols, lo, arr):
+        """A series stored in ``arr`` as it is (already canonical)."""
+        self = object.__new__(cls)
+        self._set(rows, cols, lo, arr)
+        return self
+
+    @classmethod
+    def _make(cls, rows, cols, lo, arr):
+        """A series owning the fresh array ``arr``, canonicalised first."""
+        return cls._wrap(rows, cols, *_canonicalise(lo, arr))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -140,49 +168,57 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return len(self._arr) == 0
 
     def degrees(self):
-        """Sorted tuple of degrees with stored coefficients."""
-        return tuple(sorted(self._coeffs))
+        """Sorted tuple of degrees with non-zero coefficients."""
+        nonzero = np.flatnonzero(self._arr.any(axis=(1, 2)))
+        return tuple(self._lo + int(i) for i in nonzero)
 
     @property
     def lo(self) -> int:
-        if not self._coeffs:
+        if self.is_zero:
             raise ValueError("zero series has empty support")
-        return min(self._coeffs)
+        return self._lo
 
     @property
     def hi(self) -> int:
-        if not self._coeffs:
+        if self.is_zero:
             raise ValueError("zero series has empty support")
-        return max(self._coeffs)
+        return self._lo + len(self._arr) - 1
 
     def width(self) -> int:
         """Support width hi - lo + 1 (0 for the zero series)."""
-        if not self._coeffs:
-            return 0
-        return self.hi - self.lo + 1
+        return len(self._arr)
 
     def coeff(self, degree: int):
-        """Coefficient at ``degree`` (a fresh zero matrix if absent)."""
-        mat = self._coeffs.get(int(degree))
-        if mat is None:
-            return np.zeros((self.rows, self.cols), dtype=complex)
-        return mat
+        """Coefficient at ``degree``, read-only (zeros if absent)."""
+        i = int(degree) - self._lo
+        if 0 <= i < len(self._arr):
+            return self._arr[i]
+        zeros = np.zeros((self.rows, self.cols), dtype=complex)
+        zeros.flags.writeable = False
+        return zeros
 
     def sup_norm(self) -> float:
         """Largest absolute entry over all coefficients."""
-        if not self._coeffs:
+        if self.is_zero:
             return 0.0
-        return max(float(np.max(np.abs(m))) for m in self._coeffs.values())
+        return float(np.abs(self._arr).max())
+
+    def _span(self, tag: SubspaceTag):
+        """Index range [start, stop) of the stored blocks with degrees in ``tag``."""
+        lo, hi = _BOUNDS[tag]
+        width = len(self._arr)
+        start = 0 if lo is None else min(max(lo - self._lo, 0), width)
+        stop = width if hi is None else min(max(hi - self._lo + 1, 0), width)
+        return start, stop
 
     def in_subspace(self, tag: SubspaceTag, tol: float = 0.0) -> bool:
         """True when all coefficients outside ``tag``'s support are <= tol."""
-        return all(
-            tag.contains(deg) or float(np.max(np.abs(mat))) <= tol
-            for deg, mat in self._coeffs.items()
-        )
+        start, stop = self._span(tag)
+        outside = (self._arr[:start], self._arr[stop:])
+        return all(np.abs(part).max(initial=0.0) <= tol for part in outside)
 
     def allclose(self, other: "LaurentPoly", tol: float = 1e-12) -> bool:
         return (self - other).sup_norm() <= tol
@@ -200,18 +236,21 @@ class LaurentPoly:
         other = _as_poly_like(other, self)
         if other.shape != self.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape} series")
-        acc = {deg: mat.copy() for deg, mat in self._coeffs.items()}
-        for deg, mat in other._coeffs.items():
-            acc[deg] = acc.get(deg, 0) + mat
-        return LaurentPoly(self.rows, self.cols, acc)
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        lo = min(self._lo, other._lo)
+        out = np.zeros((max(self.hi, other.hi) - lo + 1, self.rows, self.cols), dtype=complex)
+        for f in (self, other):
+            out[f._lo - lo : f._lo - lo + len(f._arr)] += f._arr
+        return LaurentPoly._make(self.rows, self.cols, lo, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return LaurentPoly(
-            self.rows, self.cols, {d: -m for d, m in self._coeffs.items()}
-        )
+        return LaurentPoly._wrap(self.rows, self.cols, self._lo, -self._arr)
 
     def __sub__(self, other):
         other = _as_poly_like(other, self)
@@ -222,9 +261,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
-            return LaurentPoly(
-                self.rows, self.cols, {d: other * m for d, m in self._coeffs.items()}
-            )
+            return LaurentPoly._make(self.rows, self.cols, self._lo, other * self._arr)
         return lp_mul(self, other)
 
     def __rmul__(self, other):
@@ -234,9 +271,7 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by z**k (shift every degree by k)."""
-        return LaurentPoly(
-            self.rows, self.cols, {d + k: m for d, m in self._coeffs.items()}
-        )
+        return LaurentPoly._wrap(self.rows, self.cols, self._lo + int(k), self._arr)
 
     def adjoint(self) -> "LaurentPoly":
         """Pointwise conjugate transpose on the circle.
@@ -244,29 +279,27 @@ class LaurentPoly:
         Coefficient j of the result is the conjugate transpose of
         coefficient -j, so PLUS and MINUS supports swap.
         """
-        return LaurentPoly(
-            self.cols, self.rows, {-d: m.conj().T for d, m in self._coeffs.items()}
-        )
+        width = len(self._arr)
+        out = np.empty((width, self.cols, self.rows), dtype=complex)
+        np.conjugate(self._arr[::-1].transpose(0, 2, 1), out=out)
+        return LaurentPoly._wrap(self.cols, self.rows, 1 - self._lo - width, out)
 
     def project(self, tag: SubspaceTag) -> "LaurentPoly":
         """Keep exactly the coefficients whose degree lies in ``tag``."""
-        return LaurentPoly(
-            self.rows,
-            self.cols,
-            {d: m for d, m in self._coeffs.items() if tag.contains(d)},
-        )
+        start, stop = self._span(tag)
+        out = np.zeros_like(self._arr)
+        out[start:stop] = self._arr[start:stop]
+        return LaurentPoly._make(self.rows, self.cols, self._lo, out)
 
     def eval(self, z):
         """Evaluate the series at the point z (sum of coeff * z**degree)."""
         z = complex(z)
         if z == 0:
-            if self._coeffs and self.lo < 0:
+            if not self.is_zero and self._lo < 0:
                 raise EvaluationError("negative-degree support cannot be evaluated at z = 0")
             return self.coeff(0).copy()
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        for deg, mat in self._coeffs.items():
-            out += mat * z**deg
-        return out
+        powers = z ** np.arange(self._lo, self._lo + len(self._arr))
+        return np.einsum("k,krc->rc", powers, self._arr)
 
     def det(self) -> "LaurentPoly":
         """Determinant as a 1x1 Laurent series.
@@ -280,16 +313,22 @@ class LaurentPoly:
         n = self.rows
         if self.is_zero:
             return LaurentPoly.zero(1, 1)
-        lo, hi = self.lo, self.hi
         if n == 1:
-            return LaurentPoly(1, 1, dict(self._coeffs))
+            return self
+        lo, hi = self.lo, self.hi
         npts = n * (hi - lo) + 1
-        points = np.exp(2j * np.pi * np.arange(npts) / npts)
-        vals = np.array([np.linalg.det(self.eval(z)) for z in points])
+        k = np.arange(npts)
+        powers = _unit_powers(npts, k, np.arange(lo, hi + 1))
+        vals = np.linalg.det(np.einsum("pk,krc->prc", powers, self._arr))
         # v_k = sum_j c_{j + n*lo} z_k**j  with z_k the npts-th roots of unity
-        shifted = vals * points ** (-n * lo)
+        shifted = vals * _unit_powers(npts, k, -n * lo)
         coeffs = np.fft.fft(shifted) / npts
-        return LaurentPoly(1, 1, {j + n * lo: coeffs[j].reshape(1, 1) for j in range(npts)})
+        return LaurentPoly._make(1, 1, n * lo, coeffs.reshape(npts, 1, 1))
+
+
+def _unit_powers(npts, k, degrees):
+    """z_k**d for z_k = exp(2 pi i k / npts), with the exponent reduced mod npts."""
+    return np.exp(2j * np.pi * (np.multiply.outer(k, degrees) % npts) / npts)
 
 
 def _as_poly_like(value, template: LaurentPoly) -> LaurentPoly:
@@ -310,7 +349,9 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Product of two series (Cauchy convolution of coefficients).
 
     A 1x1 operand acts as a scalar on the other factor, matching the usual
-    convention for the scalar shift symbol.
+    convention for the scalar shift symbol.  The loop runs over the degrees
+    of the shorter operand; each step multiplies one of its coefficients
+    into every coefficient of the other at once.
     """
     if not isinstance(f, LaurentPoly):
         f = LaurentPoly.constant(f)
@@ -326,18 +367,18 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         rows, cols = f.rows, f.cols
     else:
         rows, cols = f.rows, g.cols
-    acc = {}
-    for df, mf in f._coeffs.items():
-        for dg, mg in g._coeffs.items():
-            if scalar_left:
-                term = mf[0, 0] * mg
-            elif scalar_right:
-                term = mf * mg[0, 0]
-            else:
-                term = mf @ mg
-            key = df + dg
-            acc[key] = acc.get(key, 0) + term
-    return LaurentPoly(rows, cols, acc)
+    if f.is_zero or g.is_zero:
+        return LaurentPoly.zero(rows, cols)
+    A, B = f._arr, g._arr
+    product = np.multiply if scalar_left or scalar_right else np.matmul
+    out = np.zeros((len(A) + len(B) - 1, rows, cols), dtype=complex)
+    if len(A) <= len(B):
+        for i, a in enumerate(A):
+            out[i : i + len(B)] += product(a, B)
+    else:
+        for j, b in enumerate(B):
+            out[j : j + len(A)] += product(A, b)
+    return LaurentPoly._make(rows, cols, f._lo + g._lo, out)
 
 
 def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:
@@ -346,10 +387,10 @@ def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:
         raise ShapeError("determinant requires a square symbol")
     n = f.rows
     if n == 1:
-        return LaurentPoly(1, 1, {d: m.copy() for d, m in f._coeffs.items()})
+        return f
 
     def entry(i, j):
-        return LaurentPoly(1, 1, {d: m[i : i + 1, j : j + 1] for d, m in f._coeffs.items()})
+        return LaurentPoly._make(1, 1, f._lo, f._arr[:, i : i + 1, j : j + 1].copy())
 
     def minor(rows, cols):
         if len(rows) == 1:

@@ -238,14 +238,11 @@ def _b_side_blocks(data: DataSet):
     dcols = [data.delta.coeff(-j) for j in range(m + 1)]
     rhs = [np.zeros((q, q), dtype=complex) for _ in range(m)] + [np.eye(q, dtype=complex)]
     x = tri_toeplitz_solve(dcols, rhs, orientation="upper")
-    e = x[::-1]  # e[s] solves the unit system at anti-diagonal position s
-    out = []
-    for kdeg in range(m + 1):
-        acc = np.zeros((data.p, q), dtype=complex)
-        for s in range(m - kdeg + 1):
-            acc += data.beta.coeff(kdeg + s) @ e[s]
-        out.append(-acc)
-    return out
+    e = np.array(x[::-1])  # e[s] solves the unit system at anti-diagonal position s
+    # block k is -sum_s beta_{k+s} e[s]; the m zero blocks past beta_m end each sum
+    beta = np.array([data.beta.coeff(j) for j in range(m + 1)] + [np.zeros((data.p, q))] * m)
+    win = np.lib.stride_tricks.sliding_window_view(beta, m + 1, axis=0)
+    return -np.einsum("kpqs,sqr->kpr", win, e)
 
 
 def _b_side_g(data: DataSet) -> LaurentPoly:

@@ -223,17 +223,24 @@ def test_criterion_8_structured_solver_speed():
     rhs_blocks = [rhs[j].reshape(1, 1) for j in range(m)]
     dense = scipy.linalg.toeplitz(t, np.concatenate([t[:1], np.zeros(m - 1)]))
 
-    def best(fn, repeats=7):
-        fn()  # warm up
+    def best_pair(fast, slow, repeats=7):
+        """Best times of both calls, timed back to back in each repeat, so a
+        host stall slows both sides of one repeat rather than all of one side."""
+        fast(), slow()  # warm up
         times = []
         for _ in range(repeats):
-            s = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - s)
-        return min(times)
+            pair = []
+            for fn in (fast, slow):
+                s = time.perf_counter()
+                fn()
+                pair.append(time.perf_counter() - s)
+            times.append(pair)
+        return np.min(times, axis=0)
 
-    t_fast = best(lambda: hv.tri_toeplitz_solve(col_blocks, rhs_blocks))
-    t_lu = best(lambda: np.linalg.solve(dense, rhs))
+    t_fast, t_lu = best_pair(
+        lambda: hv.tri_toeplitz_solve(col_blocks, rhs_blocks),
+        lambda: np.linalg.solve(dense, rhs),
+    )
     x_fast = np.vstack(hv.tri_toeplitz_solve(col_blocks, rhs_blocks))
     x_lu = np.linalg.solve(dense, rhs)
     agreement = float(np.max(np.abs(x_fast - x_lu)))

@@ -81,6 +81,65 @@ def test_mul_associative(chain):
     assert hv.poly_gap(lhs, rhs) <= 1e-13 * scale
 
 
+def reference_mul(f, g):
+    """Double-loop Cauchy convolution over the stored degrees."""
+    scalar_left = f.shape == (1, 1) and g.rows != 1
+    scalar_right = g.shape == (1, 1) and f.cols != 1
+    if scalar_left:
+        rows, cols = g.shape
+    elif scalar_right:
+        rows, cols = f.shape
+    else:
+        rows, cols = f.rows, g.cols
+    acc = {}
+    for df in f.degrees():
+        for dg in g.degrees():
+            a, b = f.coeff(df), g.coeff(dg)
+            if scalar_left:
+                term = a[0, 0] * b
+            elif scalar_right:
+                term = a * b[0, 0]
+            else:
+                term = a @ b
+            acc[df + dg] = acc.get(df + dg, 0) + term
+    return LaurentPoly(rows, cols, acc)
+
+
+@st.composite
+def gapped_poly(draw, rows, cols):
+    """A series of width up to 40 whose support may have interior gaps."""
+    lo = draw(st.integers(-20, 20))
+    degs = draw(st.sets(st.integers(lo, lo + 39), max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_poly(rng, rows, cols, sorted(degs))
+
+
+@st.composite
+def mul_pair(draw):
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    case = draw(st.sampled_from(["matrix", "scalar_left", "scalar_right"]))
+    left = (1, 1) if case == "scalar_left" else (r, k)
+    right = (1, 1) if case == "scalar_right" else ((r, c) if case == "scalar_left" else (k, c))
+    return draw(gapped_poly(*left)), draw(gapped_poly(*right))
+
+
+@given(mul_pair())
+def test_mul_matches_reference_convolution(pair):
+    f, g = pair
+    expect = reference_mul(f, g)
+    prod = f * g
+    assert prod.shape == expect.shape
+    assert prod.degrees() == expect.degrees()
+    scale = 1.0 + f.sup_norm() * g.sup_norm() * min(f.width(), g.width())
+    assert hv.poly_gap(prod, expect) <= 1e-14 * scale
+
+
+def test_mul_overflow_raises():
+    big = LaurentPoly.constant([[1e200]])
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        big * big
+
+
 @st.composite
 def mul_add_triple(draw):
     a, b, c = (draw(st.integers(1, 2)) for _ in range(3))
@@ -239,8 +298,9 @@ def test_det_matches_cofactor(f):
 
 
 def test_det_matches_cofactor_3x3(rng):
-    for _ in range(5):
-        f = random_poly(rng, 3, 3, (-1, 0, 1))
+    inputs = [random_poly(rng, 3, 3, (-1, 0, 1)) for _ in range(5)]
+    inputs.append(random_poly(rng, 3, 3, range(-4, 6)))  # width 10
+    for f in inputs:
         assert hv.poly_gap(f.det(), lp_det_cofactor(f)) <= 1e-10 * (1 + f.sup_norm() ** 3)
 
 
@@ -258,3 +318,12 @@ def test_immutability():
         f.rows = 3
     with pytest.raises(ValueError):
         f.coeff(0)[0, 0] = 5.0
+
+
+def test_derived_coefficients_read_only(rng):
+    f = random_poly(rng, 2, 3, (-1, 0, 2))
+    g = random_poly(rng, 3, 2, (0, 3))
+    for derived in (f.shifted(2), f.adjoint(), f * g, LaurentPoly.shift_scalar(1) * f):
+        for d in derived.degrees():
+            with pytest.raises(ValueError):
+                derived.coeff(d)[0, 0] = 5.0
