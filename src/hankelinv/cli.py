@@ -213,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["poly", "truncated", "factorization", "all"],
         default="all",
     )
-    so.add_argument("--order", type=int, default=None, help="window size N")
+    so.add_argument(
+        "--order", type=int, default=None,
+        help="window size N of the truncated route (default m+1, where it is exact)",
+    )
     so.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     so.set_defaults(func=cmd_solve)
 
@@ -230,7 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = sub.add_parser("invert", help="inversion identity suite for a symbol")
     si.add_argument("g_file")
-    si.add_argument("--order", type=int, default=None)
+    si.add_argument(
+        "--order", type=int, default=None,
+        help="window size N (default 4m+4, wide enough for the exact margins)",
+    )
     si.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     si.set_defaults(func=cmd_invert)
     return ap

@@ -17,6 +17,11 @@ from .errors import ParseError
 from .inversion import DataSet
 from .series import LaurentPoly
 
+# Largest degree span (in coefficient blocks) accepted from a file.  A
+# series is stored densely over its span, so the bound caps what a file
+# can make the reader allocate.
+_MAX_SPAN_BLOCKS = 2**16
+
 
 # -- low-level writer ---------------------------------------------------------
 
@@ -101,9 +106,9 @@ def poly_to_json(f: LaurentPoly) -> dict:
 
 
 def _coeff_list_from_json(obj, rows, cols, lo=None, hi=None, name="symbol"):
-    coeffs = {}
     if not isinstance(obj, list):
         raise ParseError(f"{name}: coefficient list expected")
+    degs = set()
     for item in obj:
         if not isinstance(item, dict) or "deg" not in item or "mat" not in item:
             raise ParseError(f'{name}: coefficients must be {{"deg", "mat"}} objects')
@@ -112,10 +117,16 @@ def _coeff_list_from_json(obj, rows, cols, lo=None, hi=None, name="symbol"):
             raise ParseError(f"{name}: degree must be an integer")
         if lo is not None and not (lo <= deg <= hi):
             raise ParseError(f"{name}: degree {deg} outside [{lo}, {hi}]")
-        if deg in coeffs:
+        if deg in degs:
             raise ParseError(f"{name}: duplicate degree {deg}")
-        coeffs[deg] = matrix_from_json(item["mat"], rows, cols)
-    return coeffs
+        degs.add(deg)
+    # a series stores every block between its extreme degrees
+    if degs and max(degs) - min(degs) + 1 > _MAX_SPAN_BLOCKS:
+        raise ParseError(
+            f"{name}: degrees {min(degs)}..{max(degs)} span more than "
+            f"{_MAX_SPAN_BLOCKS} blocks"
+        )
+    return {item["deg"]: matrix_from_json(item["mat"], rows, cols) for item in obj}
 
 
 def poly_from_json(obj, name="symbol") -> LaurentPoly:
@@ -157,6 +168,8 @@ def problem_from_json(obj):
         raise ParseError("problem file needs integer 'p', 'q', 'm'") from exc
     if p < 1 or q < 1 or m < 0:
         raise ParseError("p, q must be positive and m nonnegative")
+    if m + 1 > _MAX_SPAN_BLOCKS:
+        raise ParseError(f"degree bound m = {m} spans more than {_MAX_SPAN_BLOCKS} blocks")
     shapes = {
         "alpha": (p, p, 0, m),
         "beta": (p, q, 0, m),

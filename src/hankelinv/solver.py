@@ -16,7 +16,9 @@ delta coefficients, followed by the beta product) and the c-side solve
 * ``solve_truncated`` - the independent operator route: solve the
   windowed systems M11 x = b and M22 y = c and read the coefficients off
   the columns, with smallest-singular-value certificates for the
-  injectivity condition.
+  injectivity condition.  Its default window of m+1 blocks is exact,
+  because every factor of M11 and M22 is a triangular block Toeplitz
+  matrix that commutes with the window projection.
 
 ``tri_toeplitz_solve`` is the shared structured kernel: an O(m^2)
 chunked solver for triangular block Toeplitz systems of any block size.
@@ -45,6 +47,7 @@ from .inversion import (
     plus_coeff_column,
 )
 from .series import LaurentPoly, poly_gap
+from .structured import _block_toeplitz
 
 DEFAULT_TOL = 1e-10
 REFUSAL_FACTOR = 100.0
@@ -89,17 +92,6 @@ def _stack_blocks(blocks, what):
     ):
         raise ValueError(f"{what} blocks must be finite")
     return arr
-
-
-def _block_toeplitz(seq, n_cols):
-    """Dense block Toeplitz matrix whose block (i, j) is seq[i - j + n_cols - 1].
-
-    ``seq`` is (n, k, k); the result has n - n_cols + 1 block rows and is
-    copied out of a strided view, so no index arrays are built.
-    """
-    k = seq.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(seq, n_cols, axis=0)[..., ::-1]
-    return win.transpose(0, 1, 3, 2).reshape(-1, n_cols * k)
 
 
 def _chunked_unit_lower(u, rhs, chunk=64):
@@ -277,37 +269,54 @@ def _hankel_window_stats(mat, p, q, n_blocks):
     returns ({degree: block}, defect).
     """
     N = n_blocks
+    view = mat.reshape(N, p, N, q).transpose(0, 2, 1, 3)  # view[i, j] is block (i, j)
     defect = 0.0
     blocks = {}
     for off in range(-(N - 1), N):
-        samples = []
-        j0 = max(0, -off)
-        for t in range(N - abs(off)):
-            i, j = j0 + off + t, j0 + t
-            samples.append(mat[i * p : (i + 1) * p, j * q : (j + 1) * q])
-        stack = np.array(samples)
+        # the blocks (i, j) with i - j = off, top to bottom
+        stack = np.moveaxis(np.diagonal(view, offset=-off), -1, 0)
         mean = stack.mean(axis=0)
-        if len(samples) > 1:
+        if len(stack) > 1:
             defect = max(defect, float(np.max(np.abs(stack - mean))))
-        deg = off + (N - 1)
-        blocks[deg] = mean
+        blocks[off + N - 1] = mean
     return blocks, defect
 
 
 def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TOL) -> SolveReport:
     """Window solve of M11 x = b and M22 y = c.
 
+    The default window is ``data.extent()`` = m+1 blocks, and on it the
+    solve is exact, not an approximation:
+
+    * M11 = T+(alpha) a0^-1 T+(alpha)* - T+(z beta) d0^-1 T+(z beta)*, and
+      both T+ factors are lower triangular block Toeplitz.  The window
+      projection P_N therefore satisfies P_N T T* P_N = (P_N T P_N)(P_N T*
+      P_N), so the N-block window of M11 is exactly the compression of M11,
+      for every N.  M22, built from the upper triangular T-(delta) and
+      T-(gamma / z), is exact in the same way, and so is M12, a Hankel
+      window times the adjoint of such an upper triangular factor.
+    * For polynomial data of degree m, g has degree <= m, so the solution
+      column x = -(g_0, g_1, ...) lies in the first m+1 blocks, and the
+      window system restricted to them is the full system.
+
+    A window wider than m+1 gives the same g with zero blocks beyond
+    degree m (``tail_beyond_degree`` reports them); a narrower window
+    cannot see the data coefficients at degrees >= N, and their summed
+    largest entries are reported as ``tail_mass_uncertified`` (0 for
+    N >= m+1).
+
     The smallest singular values of the M11 and M22 windows are the
     injectivity certificates; below ``tol`` times the window dimension the
-    solve refuses.  The report carries the gap between the two columns,
-    the Hankel-structure defect of -M11^-1 M12 and, for windows narrower
-    than the 4m+4 default, the coefficient mass the window cannot certify.
+    solve refuses.  For solvable data the M11 window is a compression of
+    (I - H H*)^-1 >= I, so its smallest singular value is >= 1 up to
+    rounding, and M22 likewise.  The report also carries the gap between the two columns
+    and the Hankel-structure defect of -M11^-1 M12.
     """
     data.corner_inverses()
     flags = []
     id_res = _identity_gate(data, tol, flags)
     m = data.m
-    N = int(n_blocks) if n_blocks else 4 * m + 4
+    N = int(n_blocks) if n_blocks else data.extent()
     p, q = data.p, data.q
 
     big = build_m(data, N, "alternate")
@@ -323,7 +332,9 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
                 which=name,
             )
 
-    x = np.linalg.solve(m11, plus_coeff_column(data.beta, N))
+    # one M11 solve for the beta column and the M12 columns side by side
+    sol = np.linalg.solve(m11, np.hstack([plus_coeff_column(data.beta, N), m12]))
+    x, hmat = sol[:, :q], -sol[:, q:]
     g_blocks = {kdeg: -x[kdeg * p : (kdeg + 1) * p, :] for kdeg in range(N)}
     tail = 0.0
     for kdeg in range(m + 1, N):
@@ -337,15 +348,13 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
         g2_blocks[-deg] = (-y[w * q : (w + 1) * q, :]).conj().T
     g2 = LaurentPoly(p, q, g2_blocks)
 
-    hmat = -np.linalg.solve(m11, m12)
     hblocks, hdefect = _hankel_window_stats(hmat, p, q, N)
     g3 = LaurentPoly(p, q, hblocks)
 
-    cert_m = (N - 4) // 4
     tail_mass = 0.0
     for sym in (data.alpha, data.beta, data.gamma, data.delta):
         for deg in sym.degrees():
-            if abs(deg) > cert_m:
+            if abs(deg) >= N:
                 tail_mass += float(np.max(np.abs(sym.coeff(deg))))
 
     details = {

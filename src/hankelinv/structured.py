@@ -72,16 +72,24 @@ def margin_for(n_blocks: int, *symbols) -> int:
     return max(0, n_blocks - total)
 
 
-def _fill_block_diagonal(dense, offset, block, n_blocks):
-    """Place ``block`` on every window position with row - col == offset."""
-    br, bc = block.shape
-    if abs(offset) > n_blocks - 1:
-        return
-    j0 = max(0, -offset)
-    i0 = j0 + offset
-    for t in range(n_blocks - abs(offset)):
-        i, j = i0 + t, j0 + t
-        dense[i * br : (i + 1) * br, j * bc : (j + 1) * bc] = block
+def _block_toeplitz(seq, n_cols):
+    """Dense block Toeplitz matrix whose block (i, j) is seq[i - j + n_cols - 1].
+
+    ``seq`` is (n, r, c); the result has n - n_cols + 1 block rows and is
+    copied out of a strided view, so no index arrays are built.
+    """
+    c = seq.shape[2]
+    win = np.lib.stride_tricks.sliding_window_view(seq, n_cols, axis=0)[..., ::-1]
+    return win.transpose(0, 1, 3, 2).reshape(-1, n_cols * c, copy=True)
+
+
+def _coeff_run(symbol: LaurentPoly, start: int, count: int):
+    """Coefficients of degrees start .. start + count - 1 as one zero-padded array."""
+    out = np.zeros((count, symbol.rows, symbol.cols), dtype=complex)
+    if not symbol.is_zero:
+        for deg in range(max(start, symbol.lo), min(start + count, symbol.hi + 1)):
+            out[deg - start] = symbol.coeff(deg)
+    return out
 
 
 def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> StructuredOp:
@@ -99,9 +107,8 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
 
     if kind in (OpKind.SHIFT_PLUS, OpKind.SHIFT_MINUS):
         n = int(symbol)
-        dense = np.zeros((N * n, N * n), dtype=complex)
-        offset = 1 if kind is OpKind.SHIFT_PLUS else -1
-        _fill_block_diagonal(dense, offset, np.eye(n, dtype=complex), N)
+        # S+ puts I on the block subdiagonal, S- on the block superdiagonal
+        dense = np.eye(N * n, k=-n if kind is OpKind.SHIFT_PLUS else n, dtype=complex)
         return StructuredOp(kind, n, N, (n, n), dense, Window(N, N - 1))
 
     if kind is OpKind.DIAG_DELTA:
@@ -115,7 +122,6 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
     if not isinstance(symbol, LaurentPoly):
         symbol = LaurentPoly.constant(symbol)
     br, bc = symbol.rows, symbol.cols
-    dense = np.zeros((N * br, N * bc), dtype=complex)
     if kind is OpKind.TOEPLITZ_PLUS or kind is OpKind.TOEPLITZ_MINUS:
         anchor = 0
     elif kind is OpKind.HANKEL_PLUS:
@@ -124,8 +130,8 @@ def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> Structure
         anchor = N - 1
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind}")
-    for deg in symbol.degrees():
-        _fill_block_diagonal(dense, deg + anchor, symbol.coeff(deg), N)
+    # window block (i, j) holds the coefficient of degree i - j - anchor
+    dense = _block_toeplitz(_coeff_run(symbol, -(N - 1) - anchor, 2 * N - 1), N)
     window = Window(N, margin_for(N, symbol))
     return StructuredOp(kind, symbol, N, (br, bc), dense, window)
 

@@ -72,8 +72,9 @@ def test_criterion_2_method_agreement(population):
     for fx in population:
         rp = hv.solve_polynomial(fx.data)
         rt = hv.solve_truncated(fx.data, n_blocks=4 * fx.data.m + 4)
+        rd = hv.solve_truncated(fx.data)  # default (m+1)-block window
         rf = hv.solve_factorization(fx.data)
-        candidates = [rp.g, rt.g, rf.g]
+        candidates = [rp.g, rt.g, rd.g, rf.g]
         for i in range(len(candidates)):
             for j in range(i + 1, len(candidates)):
                 worst_gap = max(worst_gap, hv.poly_gap(candidates[i], candidates[j]))

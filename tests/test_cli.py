@@ -1,6 +1,7 @@
 """Command-line front end: files, reports and exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,3 +225,26 @@ def test_problem_file_schema_validation(tmp_path):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(case))
         assert cli.main(["solve", str(path)]) == 2, case
+
+
+def test_far_apart_degrees_refused_before_allocation(tmp_path, problem_file):
+    # a series is stored densely over its span: degrees 0 and 10^9 would
+    # ask for 10^9 blocks, so the reader must refuse from the degrees alone
+    gpath = tmp_path / "far.json"
+    gpath.write_text(json.dumps({
+        "rows": 1, "cols": 1,
+        "coeffs": [{"deg": 0, "mat": [[[0.5, 0.0]]]}, {"deg": 10**9, "mat": [[[0.1, 0.0]]]}],
+    }))
+    tracemalloc.start()
+    try:
+        assert cli.main(["verify", problem_file, str(gpath)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+
+    huge_m = io_json.read_json(problem_file)
+    huge_m["m"] = 10**9
+    ppath = tmp_path / "huge_m.json"
+    ppath.write_text(json.dumps(huge_m))
+    assert cli.main(["solve", str(ppath)]) == 2

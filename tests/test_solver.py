@@ -190,11 +190,24 @@ def test_truncated_refuses_bad_identities(deg1_fixture):
 
 
 def test_truncated_tail_mass(deg1_fixture):
-    rep = hv.solve_truncated(deg1_fixture.data, n_blocks=4)
-    # window 4 certifies degree 0 only; the degree-1 mass is reported
+    rep = hv.solve_truncated(deg1_fixture.data, n_blocks=1)
+    # a one-block window cannot see degree 1; the degree-1 mass is reported
     assert rep.details["tail_mass_uncertified"] > 1.0
     rep_full = hv.solve_truncated(deg1_fixture.data)
     assert rep_full.details["tail_mass_uncertified"] == 0.0
+
+
+@pytest.mark.parametrize("p, q, m", [(1, 1, 1), (2, 3, 4), (3, 2, 6)])
+def test_truncated_default_window_is_exact(p, q, m):
+    fx = hv.random_fixture(p=p, q=q, m=m, target_norm=0.9, rng_seed=40 + m)
+    rep = hv.solve_truncated(fx.data)
+    assert rep.details["window"] == m + 1
+    assert rep.details["tail_mass_uncertified"] == 0.0
+    assert hv.poly_gap(rep.g, fx.g) <= 1e-12
+    assert min(rep.details["sigma_min_m11"], rep.details["sigma_min_m22"]) >= 1.0 - 1e-12
+    # one block short of m+1 the window misses the degree-m data
+    narrow = hv.solve_truncated(fx.data, n_blocks=m)
+    assert narrow.details["tail_mass_uncertified"] > 0.0
 
 
 # -- factorization route -----------------------------------------------------------

@@ -52,6 +52,49 @@ def test_build_margin_flags():
     assert not op.window.conclusive
 
 
+def _loop_fill(kind, symbol, N):
+    """Reference window: each coefficient copied onto its block diagonal."""
+    anchor = {
+        OpKind.TOEPLITZ_PLUS: 0,
+        OpKind.TOEPLITZ_MINUS: 0,
+        OpKind.HANKEL_PLUS: -(N - 1),
+        OpKind.HANKEL_MINUS: N - 1,
+    }[kind]
+    br, bc = symbol.shape
+    dense = np.zeros((N * br, N * bc), dtype=complex)
+    for deg in symbol.degrees():
+        offset = deg + anchor
+        if abs(offset) > N - 1:
+            continue
+        j0 = max(0, -offset)
+        for t in range(N - abs(offset)):
+            i, j = j0 + offset + t, j0 + t
+            dense[i * br : (i + 1) * br, j * bc : (j + 1) * bc] = symbol.coeff(deg)
+    return dense
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (3, 2)])
+def test_build_matches_loop_fill(rng, shape):
+    supports = [
+        [0],
+        [0, 3, 4, 7],        # interior gaps
+        [-6, -2, 0],
+        [-3, -1, 2, 5],      # both sides of degree 0
+        [2, 9],              # no degree 0
+        [-11, -4],
+    ]
+    kinds = (OpKind.TOEPLITZ_PLUS, OpKind.TOEPLITZ_MINUS, OpKind.HANKEL_PLUS, OpKind.HANKEL_MINUS)
+    for degrees in supports:
+        sym = random_poly(rng, *shape, degrees)
+        for N in (1, 2, 3, 5, 8, 13):
+            for kind in kinds:
+                dense = hv.build(kind, sym, N).dense
+                assert dense.flags.writeable
+                assert np.array_equal(dense, _loop_fill(kind, sym, N)), (degrees, N, kind)
+    for kind in kinds:
+        assert not hv.build(kind, LaurentPoly.zero(*shape), 4).dense.any()
+
+
 def test_build_rejects_empty_window(rng):
     with pytest.raises(ShapeError):
         hv.build(OpKind.TOEPLITZ_PLUS, LaurentPoly.identity(1), 0)
