@@ -27,7 +27,7 @@ from .errors import (
     SingularCornerError,
     SynthesisError,
 )
-from .inversion import build_m, build_omega, check_lemma_suite, inverse_margin, verify_inverse
+from .inversion import build_omega, check_lemma_suite, inverse_margin, verify_inverse
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -161,11 +161,9 @@ def cmd_invert(args) -> int:
         _err(str(exc))
         return EXIT_SYNTHESIS
     n = args.order or 4 * fx.data.m + 4
-    omega = build_omega(g, n)
-    m_op = build_m(fx.data, n)
-    margin = inverse_margin(fx.data, g, n)
-    inv = verify_inverse(omega, m_op, margin)
     suite = check_lemma_suite(fx.data, n, tol=args.tol)
+    margin = inverse_margin(fx.data, g, n)
+    inv = verify_inverse(build_omega(g, n), suite["m_alternate"], margin)
     doc = {
         "window": n,
         "margin": margin,

@@ -79,6 +79,12 @@ def _maxabs(x) -> float:
 # -- data identities ---------------------------------------------------------
 
 
+def _identity_entries(data: DataSet, tol: float) -> list:
+    """Entries for the direct identity triple alone."""
+    names = ("identity_a", "identity_d", "identity_cross")
+    return [_residual_entry(n, r, tol) for n, r in zip(names, identity_residual_triple(data))]
+
+
 def check_identities(data: DataSet, tol: float = 1e-10) -> CheckReport:
     """Residuals of the three data identities and their dual forms.
 
@@ -88,11 +94,7 @@ def check_identities(data: DataSet, tol: float = 1e-10) -> CheckReport:
     whenever a0 and d0 are invertible.
     """
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    r1, r2, r3 = identity_residual_triple(data)
-    entries = [
-        _residual_entry("identity_a", r1, tol),
-        _residual_entry("identity_d", r2, tol),
-        _residual_entry("identity_cross", r3, tol),
+    entries = _identity_entries(data, tol) + [
         _residual_entry("a0_hermitian", _maxabs(data.a0 - data.a0.conj().T), tol),
         _residual_entry("d0_hermitian", _maxabs(data.d0 - data.d0.conj().T), tol),
     ]
@@ -222,8 +224,7 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
         _posdef_entry("a0_positive", data.a0),
         _posdef_entry("d0_positive", data.d0),
     ]
-    idrep = check_identities(data, tol)
-    entries += [idrep.entry(n) for n in ("identity_a", "identity_d", "identity_cross")]
+    entries += _identity_entries(data, tol)
     entries += check_zero_locations(data).entries
 
     if g is None and not CheckReport(entries).any_fail:

@@ -358,6 +358,8 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
 
     The data identities are a precondition; their residual triple is
     reported and ``precondition_ok`` is False when it exceeds ``tol``.
+    The alternate-route window of M that the suite checks is returned
+    under ``"m_alternate"``.
     """
     N = int(n_blocks)
     p, q = data.p, data.q
@@ -454,6 +456,7 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
         "j_congruence": j_res,
         "intertwine": inter_res,
         "thht_shifted": thht_shifted,
+        "m_alternate": m_alt,
     }
     out.update(thht)
     out.update(units)

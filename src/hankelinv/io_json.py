@@ -2,8 +2,9 @@
 
 Complex entries are encoded as [re, im] pairs and coefficient lists are
 degree-indexed sparse arrays ``{"deg": k, "mat": [[..]]}`` so that
-negative-degree support reads naturally.  Numbers are written with 17
-significant digits, which round-trips IEEE doubles bit-for-bit.
+negative-degree support reads naturally.  Numbers are written as the
+shortest repr that reads back to the same double, so a round trip is
+bit-exact; non-finite numbers are written as ``null``.
 """
 
 from __future__ import annotations
@@ -26,35 +27,9 @@ _MAX_SPAN_BLOCKS = 2**16
 # -- low-level writer ---------------------------------------------------------
 
 
-def _fmt_number(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if not math.isfinite(x):
-        return "null"  # strict JSON has no NaN or Infinity
-    return f"{x:.17g}"
-
-
-def dumps(obj, indent=0) -> str:
-    """Serialize with 17-significant-digit numbers (bit-exact round trip)."""
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
-        return _fmt_number(obj)
-    if isinstance(obj, (list, tuple)):
-        items = [dumps(v, indent) for v in obj]
-        return "[" + ", ".join(items) + "]"
-    if isinstance(obj, dict):
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}' for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def dumps(obj) -> str:
+    """Serialize as strict JSON (bit-exact round trip of every finite number)."""
+    return json.dumps(_jsonable(obj), allow_nan=False)
 
 
 def write_json(path, obj):
@@ -75,33 +50,41 @@ def read_json(path):
 
 
 def matrix_to_json(mat) -> list:
+    """Nested lists with one [re, im] pair per entry of a complex array."""
     mat = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()
 
 
-def matrix_from_json(obj, rows=None, cols=None):
+def _matrices_from_json(mats, rows, cols, name):
+    """Parse a list of rows x cols matrices of [re, im] pairs at once.
+
+    Every number must be a JSON integer or float that fits a finite
+    double; returns an (n, rows, cols) complex array.
+    """
     try:
-        mat = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in obj], dtype=complex
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ParseError(f"malformed matrix entry: {exc}") from exc
-    if mat.ndim != 2:
-        raise ParseError("matrix must be a list of rows")
-    if rows is not None and mat.shape != (rows, cols):
-        raise ParseError(f"matrix must be {rows}x{cols}, got {mat.shape}")
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
-        raise ParseError("matrix entries must be finite")
-    return mat
+        parts = np.array(mats, dtype=object)
+    except ValueError as exc:
+        raise ParseError(f"{name}: malformed matrix entry: {exc}") from exc
+    if parts.shape != (len(mats), rows, cols, 2):
+        raise ParseError(f"{name}: each matrix must be {rows}x{cols} [re, im] pairs")
+    if not set(map(type, parts.flat)) <= {int, float}:
+        raise ParseError(f"{name}: matrix entries must be numbers")
+    try:
+        vals = parts.astype(float)
+    except OverflowError as exc:
+        raise ParseError(f"{name}: matrix entry out of range: {exc}") from exc
+    if not np.isfinite(vals).all():
+        raise ParseError(f"{name}: matrix entries must be finite")
+    return vals.view(complex)[..., 0]
 
 
 def poly_to_json(f: LaurentPoly) -> dict:
+    degs = f.degrees()
+    mats = matrix_to_json([f.coeff(d) for d in degs])
     return {
         "rows": f.rows,
         "cols": f.cols,
-        "coeffs": [
-            {"deg": d, "mat": matrix_to_json(f.coeff(d))} for d in f.degrees()
-        ],
+        "coeffs": [{"deg": d, "mat": mat} for d, mat in zip(degs, mats)],
     }
 
 
@@ -126,7 +109,10 @@ def _coeff_list_from_json(obj, rows, cols, lo=None, hi=None, name="symbol"):
             f"{name}: degrees {min(degs)}..{max(degs)} span more than "
             f"{_MAX_SPAN_BLOCKS} blocks"
         )
-    return {item["deg"]: matrix_from_json(item["mat"], rows, cols) for item in obj}
+    if not obj:
+        return {}
+    mats = _matrices_from_json([item["mat"] for item in obj], rows, cols, name)
+    return {item["deg"]: mat for item, mat in zip(obj, mats)}
 
 
 def poly_from_json(obj, name="symbol") -> LaurentPoly:
@@ -198,16 +184,19 @@ def problem_from_json(obj):
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    """A copy of ``value`` made of JSON types, non-finite floats as None."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return _jsonable([value.real, value.imag])
     if isinstance(value, np.ndarray):
-        return matrix_to_json(np.atleast_2d(value))
+        return _jsonable(matrix_to_json(np.atleast_2d(value)))
     if isinstance(value, LaurentPoly):
         return poly_to_json(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
@@ -233,7 +222,7 @@ def check_report_to_json(report) -> dict:
         "entries": [
             {
                 "name": e.name,
-                "value": None if np.isnan(e.value) else e.value,
+                "value": e.value,
                 "threshold": e.threshold,
                 "verdict": e.verdict,
             }

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import diagnostics
 from .errors import ShapeError, SynthesisError
-from .inversion import DataSet
+from .inversion import DataSet, build_omega
 from .series import LaurentPoly, SubspaceTag
-from .structured import OpKind, build
 
 
 @dataclass
@@ -30,13 +29,6 @@ class Fixture:
     note: str = ""
     target_norm: float = None
     seed: int = None
-
-
-def _corner_omega(g: LaurentPoly, m: int):
-    corner = build(OpKind.HANKEL_PLUS, g, m + 1).dense
-    top = np.hstack([np.eye(corner.shape[0]), corner])
-    bottom = np.hstack([corner.conj().T, np.eye(corner.shape[1])])
-    return np.vstack([top, bottom])
 
 
 def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
@@ -52,7 +44,7 @@ def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
         raise ShapeError("the generating symbol must be supported on degrees >= 0")
     p, q = g.rows, g.cols
     m = 0 if g.is_zero else g.hi
-    om = _corner_omega(g, m)
+    om = build_omega(g, m + 1).dense
     dim_p, dim_q = (m + 1) * p, (m + 1) * q
     svals = np.linalg.svd(om, compute_uv=False)
     if svals[-1] < 1e-12 * max(1.0, svals[0]):

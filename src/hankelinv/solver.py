@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import diagnostics
 from .errors import (
@@ -99,21 +98,24 @@ def _chunked_unit_lower(u, rhs, chunk=64):
 
     ``u`` is (m, k, k) with u[0] = I, so the system matrix is unit lower
     triangular entry by entry; ``rhs`` is (m * k, r).  Work is O(m^2) block
-    products, split into dense triangular solves on ``chunk``-block
-    diagonal pieces and block Toeplitz updates of the rows below them.
+    products, split into solves on ``chunk``-block diagonal pieces and
+    block Toeplitz updates of the rows below them.  Every diagonal piece
+    is the same unit lower block Toeplitz matrix, and so is its inverse:
+    one solve for the inverse's first block column gives the whole
+    inverse, and each piece's solve becomes one matrix product.
     """
     m, k = u.shape[0], u.shape[1]
     x = np.empty_like(rhs)
     b = rhs.copy()
     ln = min(chunk, m)
-    lower = _block_toeplitz(np.concatenate([np.zeros_like(u[: ln - 1]), u[:ln]]), ln)
+    pad = np.zeros_like(u[: ln - 1])
+    lower = _block_toeplitz(np.concatenate([pad, u[:ln]]), ln)
+    first = np.linalg.solve(lower, np.eye(ln * k, k)).reshape(ln, k, k)
+    inverse = _block_toeplitz(np.concatenate([pad, first]), ln)
     for s in range(0, m, chunk):
         e = min(s + chunk, m)
         w = e - s
-        x[s * k : e * k] = scipy.linalg.solve_triangular(
-            lower[: w * k, : w * k], b[s * k : e * k],
-            lower=True, unit_diagonal=True, check_finite=False,
-        )
+        x[s * k : e * k] = inverse[: w * k, : w * k] @ b[s * k : e * k]
         if e < m:
             # rows e..m-1 see the chunk through the blocks u[e-s+i-j]
             b[e * k :] -= _block_toeplitz(u[1 : m - s], w) @ x[s * k : e * k]
@@ -142,8 +144,9 @@ def tri_toeplitz_solve(coeff_blocks, rhs_blocks, orientation="lower"):
     -----
     Cost is O(m^2) block multiplies for every block size: the block rows
     are scaled by the inverse diagonal block, which leaves a unit lower
-    triangular matrix solved chunk by chunk.  An upper system is solved by
-    index reversal of the equivalent lower system.
+    triangular matrix solved chunk by chunk, each chunk as one product with
+    the inverse of the chunk matrix, computed once per call.  An upper
+    system is solved by index reversal of the equivalent lower system.
     """
     if orientation not in ("lower", "upper"):
         raise ValueError(f"unknown orientation {orientation!r}")

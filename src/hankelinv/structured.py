@@ -92,14 +92,13 @@ def _coeff_run(symbol: LaurentPoly, start: int, count: int):
     return out
 
 
-def build(kind: OpKind, symbol, n_blocks: int, space: str = "plus") -> StructuredOp:
+def build(kind: OpKind, symbol, n_blocks: int) -> StructuredOp:
     """Assemble the dense N-block window of a structured operator.
 
     ``symbol`` is a LaurentPoly for the Toeplitz/Hankel kinds, a square
     matrix r0 for DIAG_DELTA, and a block dimension (int) for the shifts.
-    ``space`` names the single space a DIAG_DELTA window lives on; its
-    dense window is the same on either space.  A window narrower than the
-    symbol support is not an error; it just comes back with margin 0.
+    A window narrower than the symbol support is not an error; it just
+    comes back with margin 0.
     """
     N = int(n_blocks)
     if N < 1:

@@ -1,13 +1,16 @@
 """Command-line front end: files, reports and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import LaurentPoly, cli, io_json
+from hankelinv import LaurentPoly, cli, inversion, io_json
 
 
 @pytest.fixture()
@@ -149,6 +152,22 @@ def test_invert_emits_strict_json(tmp_path, capsys):
     assert None in doc["lemma_suite"].values()
 
 
+def test_invert_builds_each_m_variant_once(monkeypatch, tmp_path):
+    calls = []
+    original = inversion.build_m
+
+    def recording(data, n_blocks, variant="alternate"):
+        calls.append(variant)
+        return original(data, n_blocks, variant)
+
+    monkeypatch.setattr(inversion, "build_m", recording)
+    monkeypatch.setattr(cli, "build_m", recording, raising=False)
+    gpath = tmp_path / "g2.json"
+    io_json.write_json(gpath, io_json.poly_to_json(LaurentPoly(1, 1, {0: [[0.3]], 2: [[0.2]]})))
+    assert cli.main(["invert", str(gpath)]) == 0
+    assert sorted(calls) == ["alternate", "primary"]
+
+
 def test_exit_code_is_function_of_report():
     from hankelinv.diagnostics import CheckEntry, CheckReport
 
@@ -221,6 +240,10 @@ def test_problem_file_schema_validation(tmp_path):
          "beta": [], "gamma": [], "delta": []},  # alpha degree out of range
         {"p": 0, "q": 1, "m": 0, "alpha": [], "beta": [], "gamma": [], "delta": []},
     ]
+    # malformed numbers: beyond double range, a pair of three, a string, a boolean
+    for entry in ([10**400, 0], [0.5, 0, 7], ["0.5", 0], [True, 0]):
+        cases.append({"p": 1, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": [[entry]]}],
+                      "beta": [], "gamma": [], "delta": []})
     for i, case in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(case))
@@ -248,3 +271,11 @@ def test_far_apart_degrees_refused_before_allocation(tmp_path, problem_file):
     ppath = tmp_path / "huge_m.json"
     ppath.write_text(json.dumps(huge_m))
     assert cli.main(["solve", str(ppath)]) == 2
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, hankelinv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
