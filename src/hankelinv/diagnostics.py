@@ -158,19 +158,13 @@ def check_zero_locations(data: DataSet, band: float = CIRCLE_BAND) -> CheckRepor
     det_a = data.alpha.det()
     if det_a.is_zero:
         raise DegenerateError("det(alpha) is identically zero")
-    ca = np.zeros(det_a.hi + 1, dtype=complex)
-    for d in det_a.degrees():
-        ca[d] = det_a.coeff(d)[0, 0]
-    roots_a = _poly_roots(ca)
+    roots_a = _poly_roots(det_a.coeff_run(0, det_a.hi + 1)[:, 0, 0])
 
     det_d = data.delta.det()
     if det_d.is_zero:
         raise DegenerateError("det(delta) is identically zero")
     # substitute mu = 1/z: coefficient of mu**j is the degree -j coefficient
-    cd = np.zeros(-det_d.lo + 1, dtype=complex)
-    for d in det_d.degrees():
-        cd[-d] = det_d.coeff(d)[0, 0]
-    roots_d = _poly_roots(cd)
+    roots_d = _poly_roots(det_d.coeff_run(det_d.lo, 1 - det_d.lo)[::-1, 0, 0])
 
     return CheckReport(
         [

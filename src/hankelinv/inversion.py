@@ -157,12 +157,12 @@ def minus_unit_column(n: int, n_blocks: int) -> np.ndarray:
 
 def plus_coeff_column(sym: LaurentPoly, n_blocks: int) -> np.ndarray:
     """Stack coefficients 0..N-1 of a plus symbol into a window column."""
-    return np.vstack([sym.coeff(j) for j in range(n_blocks)])
+    return sym.coeff_run(0, n_blocks).reshape(n_blocks * sym.rows, sym.cols)
 
 
 def minus_coeff_column(sym: LaurentPoly, n_blocks: int) -> np.ndarray:
     """Stack coefficients -N+1..0 of a minus symbol into a window column."""
-    return np.vstack([sym.coeff(j - (n_blocks - 1)) for j in range(n_blocks)])
+    return sym.coeff_run(1 - n_blocks, n_blocks).reshape(n_blocks * sym.rows, sym.cols)
 
 
 # -- operator assembly ------------------------------------------------------

@@ -80,7 +80,8 @@ def _matrices_from_json(mats, rows, cols, name):
 
 def poly_to_json(f: LaurentPoly) -> dict:
     degs = f.degrees()
-    mats = matrix_to_json([f.coeff(d) for d in degs])
+    lo = degs[0] if degs else 0
+    mats = matrix_to_json(f.coeff_run(lo, f.width())[np.array(degs, dtype=int) - lo])
     return {
         "rows": f.rows,
         "cols": f.cols,
@@ -88,40 +89,49 @@ def poly_to_json(f: LaurentPoly) -> dict:
     }
 
 
-def _coeff_list_from_json(obj, rows, cols, lo=None, hi=None, name="symbol"):
+def _json_int(value, what):
+    """``value`` when it is a JSON integer (not a boolean), else ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _poly_from_coeff_list(obj, rows, cols, lo=None, hi=None, name="symbol") -> LaurentPoly:
+    """The series of a degree-indexed coefficient list, built as one run."""
     if not isinstance(obj, list):
         raise ParseError(f"{name}: coefficient list expected")
     degs = set()
     for item in obj:
         if not isinstance(item, dict) or "deg" not in item or "mat" not in item:
             raise ParseError(f'{name}: coefficients must be {{"deg", "mat"}} objects')
-        deg = item["deg"]
-        if not isinstance(deg, int):
-            raise ParseError(f"{name}: degree must be an integer")
+        deg = _json_int(item["deg"], f"{name}: degree")
         if lo is not None and not (lo <= deg <= hi):
             raise ParseError(f"{name}: degree {deg} outside [{lo}, {hi}]")
         if deg in degs:
             raise ParseError(f"{name}: duplicate degree {deg}")
         degs.add(deg)
     # a series stores every block between its extreme degrees
-    if degs and max(degs) - min(degs) + 1 > _MAX_SPAN_BLOCKS:
+    first, last = min(degs, default=0), max(degs, default=-1)
+    if last - first + 1 > _MAX_SPAN_BLOCKS:
         raise ParseError(
-            f"{name}: degrees {min(degs)}..{max(degs)} span more than "
-            f"{_MAX_SPAN_BLOCKS} blocks"
+            f"{name}: degrees {first}..{last} span more than {_MAX_SPAN_BLOCKS} blocks"
         )
-    if not obj:
-        return {}
-    mats = _matrices_from_json([item["mat"] for item in obj], rows, cols, name)
-    return {item["deg"]: mat for item, mat in zip(obj, mats)}
+    run = np.zeros((last - first + 1, rows, cols), dtype=complex)
+    if obj:
+        index = [item["deg"] - first for item in obj]
+        run[index] = _matrices_from_json([item["mat"] for item in obj], rows, cols, name)
+    return LaurentPoly.from_run(first, run)
 
 
 def poly_from_json(obj, name="symbol") -> LaurentPoly:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols = obj["rows"], obj["cols"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"{name}: needs integer 'rows' and 'cols'") from exc
-    coeffs = _coeff_list_from_json(obj.get("coeffs", []), rows, cols, name=name)
-    return LaurentPoly(rows, cols, coeffs)
+    rows, cols = _json_int(rows, f"{name}: rows"), _json_int(cols, f"{name}: cols")
+    if rows < 1 or cols < 1:
+        raise ParseError(f"{name}: rows and cols must be positive")
+    return _poly_from_coeff_list(obj.get("coeffs", []), rows, cols, name=name)
 
 
 # -- problem files ------------------------------------------------------------
@@ -149,8 +159,8 @@ def problem_from_json(obj):
     if not isinstance(obj, dict):
         raise ParseError("problem file must be a JSON object")
     try:
-        p, q, m = int(obj["p"]), int(obj["q"]), int(obj["m"])
-    except (KeyError, TypeError, ValueError) as exc:
+        p, q, m = (_json_int(obj[key], f"problem file '{key}'") for key in "pqm")
+    except KeyError as exc:
         raise ParseError("problem file needs integer 'p', 'q', 'm'") from exc
     if p < 1 or q < 1 or m < 0:
         raise ParseError("p, q must be positive and m nonnegative")
@@ -166,16 +176,14 @@ def problem_from_json(obj):
     for name, (rows, cols, lo, hi) in shapes.items():
         if name not in obj:
             raise ParseError(f"problem file is missing '{name}'")
-        coeffs = _coeff_list_from_json(obj[name], rows, cols, lo, hi, name=name)
-        polys[name] = LaurentPoly(rows, cols, coeffs)
+        polys[name] = _poly_from_coeff_list(obj[name], rows, cols, lo, hi, name=name)
     try:
         data = DataSet(**polys)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     g = None
     if "g" in obj and obj["g"] is not None:
-        coeffs = _coeff_list_from_json(obj["g"], p, q, 0, m, name="g")
-        g = LaurentPoly(p, q, coeffs)
+        g = _poly_from_coeff_list(obj["g"], p, q, 0, m, name="g")
     metadata = obj.get("metadata") or {}
     return data, g, metadata
 

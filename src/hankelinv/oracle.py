@@ -58,14 +58,11 @@ def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
     sol = np.linalg.solve(om, rhs)
     ac, bd = sol[:, :p], sol[:, p:]
 
-    alpha = LaurentPoly(p, p, {j: ac[j * p : (j + 1) * p, :] for j in range(m + 1)})
-    gamma = LaurentPoly(
-        q, p, {w - m: ac[dim_p + w * q : dim_p + (w + 1) * q, :] for w in range(m + 1)}
-    )
-    beta = LaurentPoly(p, q, {j: bd[j * p : (j + 1) * p, :] for j in range(m + 1)})
-    delta = LaurentPoly(
-        q, q, {w - m: bd[dim_p + w * q : dim_p + (w + 1) * q, :] for w in range(m + 1)}
-    )
+    # plus columns hold degrees 0..m, minus columns degrees -m..0
+    alpha = LaurentPoly.from_run(0, ac[:dim_p].reshape(m + 1, p, p))
+    gamma = LaurentPoly.from_run(-m, ac[dim_p:].reshape(m + 1, q, p))
+    beta = LaurentPoly.from_run(0, bd[:dim_p].reshape(m + 1, p, q))
+    delta = LaurentPoly.from_run(-m, bd[dim_p:].reshape(m + 1, q, q))
     data = DataSet(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
 
     id_res = diagnostics.check_identities(data, tol=1e-12)
@@ -100,10 +97,10 @@ def brute_recover_g(data: DataSet) -> BruteRecovery:
     """
     p, q, m = data.p, data.q, data.m
     nb = m + 1
-    a_col = np.vstack([data.alpha.coeff(j) for j in range(nb)])
-    b_col = np.vstack([data.beta.coeff(j) for j in range(nb)])
-    c_col = np.vstack([data.gamma.coeff(w - m) for w in range(nb)])
-    d_col = np.vstack([data.delta.coeff(w - m) for w in range(nb)])
+    a_col = data.alpha.coeff_run(0, nb).reshape(nb * p, p)
+    b_col = data.beta.coeff_run(0, nb).reshape(nb * p, q)
+    c_col = data.gamma.coeff_run(-m, nb).reshape(nb * q, p)
+    d_col = data.delta.coeff_run(-m, nb).reshape(nb * q, q)
     e_plus = np.zeros((nb * p, p), dtype=complex)
     e_plus[:p] = np.eye(p)
     e_minus = np.zeros((nb * q, q), dtype=complex)
@@ -155,15 +152,15 @@ def brute_recover_g(data: DataSet) -> BruteRecovery:
     X = x.reshape(nb, nb, p, q)
 
     defect = 0.0
-    coeffs = {}
+    run = np.empty((2 * nb - 1, p, q), dtype=complex)
     for off in range(-(nb - 1), nb):
         samples = [X[t + max(0, off), t + max(0, -off)] for t in range(nb - abs(off))]
         stack = np.array(samples)
         mean = stack.mean(axis=0)
         if len(samples) > 1:
             defect = max(defect, float(np.max(np.abs(stack - mean))))
-        coeffs[off + m] = mean  # window diagonal off carries degree off + m
-    g = LaurentPoly(p, q, coeffs)
+        run[off + m] = mean  # window diagonal off carries degree off + m
+    g = LaurentPoly.from_run(0, run)
     return BruteRecovery(
         g=g,
         hankel_defect=defect,
@@ -187,11 +184,9 @@ def random_fixture(p: int, q: int, m: int, target_norm: float, rng_seed: int) ->
     note = f"random p={p} q={q} m={m} target={target_norm} seed={rng_seed}"
     if target_norm == 0:
         return synthesize_data(LaurentPoly.zero(p, q), note=note)
-    coeffs = {
-        j: (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))) / np.sqrt(2)
-        for j in range(m + 1)
-    }
-    g = LaurentPoly(p, q, coeffs)
+    # per degree, the real parts are drawn before the imaginary ones
+    draws = rng.standard_normal((m + 1, 2, p, q))
+    g = LaurentPoly.from_run(0, (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2))
     norm = diagnostics.hankel_norm(g)
     g = (target_norm / norm) * g
     fx = synthesize_data(g, note=note)

@@ -12,6 +12,15 @@ stay finite and comparisons stay meaningful.  Storage is dense over the
 support width: a series with two coefficients far apart holds every zero
 block between them.
 
+Coefficients go in and come out as such runs of consecutive degrees:
+``LaurentPoly.from_run(lo, run)`` takes a ``(count, rows, cols)`` array
+whose block k is the coefficient of degree lo + k, and
+``f.coeff_run(start, count)`` gives the coefficients of degrees start ..
+start + count - 1 as one read-only array, zero outside the support.  The
+degree-keyed constructor ``LaurentPoly(rows, cols, coeffs)`` checks each
+block on its own and is kept for callers that hold a few scattered
+coefficients.
+
 All values are immutable after construction (coefficient arrays are marked
 read-only); every operation is pure.
 """
@@ -96,8 +105,9 @@ class LaurentPoly:
     rows, cols : int
         Matrix dimensions of every coefficient.
     coeffs : mapping int -> array_like, optional
-        Coefficient matrices by degree.  Near-zero coefficients (max-abs
-        entry below ``CANONICAL_TOL``) are dropped.
+        Coefficient matrices by degree, each checked on its own.
+        Near-zero coefficients (max-abs entry below ``CANONICAL_TOL``) are
+        dropped.  ``from_run`` is the array form of this constructor.
     """
 
     __slots__ = ("rows", "cols", "_lo", "_arr")
@@ -137,13 +147,24 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_run(cls, lo, run):
+        """The series whose coefficient of degree lo + k is ``run[k]``.
+
+        ``run`` is a ``(count, rows, cols)`` array_like; it is copied,
+        checked finite once as a whole and brought to canonical form.
+        """
+        arr = np.array(run, dtype=complex)
+        if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
+            raise ShapeError(f"expected a (count, rows, cols) run, got shape {arr.shape}")
+        return cls._make(arr.shape[1], arr.shape[2], int(lo), arr)
+
+    @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, {})
+        return cls(rows, cols)
 
     @classmethod
     def constant(cls, mat):
-        mat = as_matrix(mat)
-        return cls(mat.shape[0], mat.shape[1], {0: mat})
+        return cls.single(0, mat)
 
     @classmethod
     def identity(cls, n):
@@ -152,13 +173,12 @@ class LaurentPoly:
 
     @classmethod
     def single(cls, degree, mat):
-        mat = as_matrix(mat)
-        return cls(mat.shape[0], mat.shape[1], {int(degree): mat})
+        return cls.from_run(degree, as_matrix(mat)[None])
 
     @classmethod
     def shift_scalar(cls, degree=1):
         """The 1x1 symbol z**degree (degree +1 is the forward shift symbol)."""
-        return cls(1, 1, {int(degree): np.eye(1)})
+        return cls.single(degree, np.eye(1))
 
     # -- basic queries -----------------------------------------------------
 
@@ -191,14 +211,28 @@ class LaurentPoly:
         """Support width hi - lo + 1 (0 for the zero series)."""
         return len(self._arr)
 
+    def coeff_run(self, start: int, count: int):
+        """Coefficients of degrees start .. start + count - 1, read-only.
+
+        Returns a ``(count, rows, cols)`` array with zero blocks wherever
+        the series has no support; a range inside the stored run comes back
+        as a view of it, without a copy.
+        """
+        i = int(start) - self._lo
+        count = int(count)
+        width = len(self._arr)
+        if 0 <= i and i + count <= width:
+            return self._arr[i : i + count]
+        out = np.zeros((count, self.rows, self.cols), dtype=complex)
+        first, stop = max(i, 0), min(i + count, width)
+        if first < stop:
+            out[first - i : stop - i] = self._arr[first:stop]
+        out.flags.writeable = False
+        return out
+
     def coeff(self, degree: int):
         """Coefficient at ``degree``, read-only (zeros if absent)."""
-        i = int(degree) - self._lo
-        if 0 <= i < len(self._arr):
-            return self._arr[i]
-        zeros = np.zeros((self.rows, self.cols), dtype=complex)
-        zeros.flags.writeable = False
-        return zeros
+        return self.coeff_run(degree, 1)[0]
 
     def sup_norm(self) -> float:
         """Largest absolute entry over all coefficients."""

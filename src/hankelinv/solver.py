@@ -222,27 +222,28 @@ def _report(data, g, method, id_res, tol, flags, details):
 def _c_side_blocks(data: DataSet):
     """Coefficients from the upper triangular system driven by a and c."""
     m = data.m
-    acols = [data.alpha.coeff(i).conj().T for i in range(m + 1)]
-    rhs = [-data.gamma.coeff(-i).conj().T for i in range(m + 1)]
+    acols = data.alpha.coeff_run(0, m + 1).conj().transpose(0, 2, 1)
+    # the right-hand side runs over gamma's degrees 0, -1, ..., -m
+    rhs = -data.gamma.coeff_run(-m, m + 1)[::-1].conj().transpose(0, 2, 1)
     return tri_toeplitz_solve(acols, rhs, orientation="upper")
 
 
 def _b_side_blocks(data: DataSet):
     """Coefficients from the d-driven unit solve followed by the b product."""
     m, q = data.m, data.q
-    dcols = [data.delta.coeff(-j) for j in range(m + 1)]
-    rhs = [np.zeros((q, q), dtype=complex) for _ in range(m)] + [np.eye(q, dtype=complex)]
+    dcols = data.delta.coeff_run(-m, m + 1)[::-1]
+    rhs = np.zeros((m + 1, q, q), dtype=complex)
+    rhs[m] = np.eye(q)
     x = tri_toeplitz_solve(dcols, rhs, orientation="upper")
     e = np.array(x[::-1])  # e[s] solves the unit system at anti-diagonal position s
-    # block k is -sum_s beta_{k+s} e[s]; the m zero blocks past beta_m end each sum
-    beta = np.array([data.beta.coeff(j) for j in range(m + 1)] + [np.zeros((data.p, q))] * m)
-    win = np.lib.stride_tricks.sliding_window_view(beta, m + 1, axis=0)
+    # block k is -sum_s beta_{k+s} e[s]; the run's m zero blocks past beta_m end each sum
+    win = np.lib.stride_tricks.sliding_window_view(data.beta.coeff_run(0, 2 * m + 1), m + 1, axis=0)
     return -np.einsum("kpqs,sqr->kpr", win, e)
 
 
 def _b_side_g(data: DataSet) -> LaurentPoly:
     """The b-side coefficients as a symbol."""
-    return LaurentPoly(data.p, data.q, dict(enumerate(_b_side_blocks(data))))
+    return LaurentPoly.from_run(0, _b_side_blocks(data))
 
 
 def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -255,9 +256,8 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     flags = []
     id_res = _identity_gate(data, tol, flags)
     gb = _b_side_blocks(data)
-    gc = _c_side_blocks(data)
-    gap = max(float(np.max(np.abs(b - c))) for b, c in zip(gb, gc))
-    g = LaurentPoly(data.p, data.q, dict(enumerate(gb)))
+    gap = float(np.max(np.abs(gb - np.array(_c_side_blocks(data)))))
+    g = LaurentPoly.from_run(0, gb)
     details = {"two_sided_gap": gap, "degree_bound": data.m}
     return _report(data, g, "polynomial", id_res, tol, flags, details)
 
@@ -269,20 +269,21 @@ def _hankel_window_stats(mat, p, q, n_blocks):
     """Mean diagonal blocks and the spread around them for a window matrix.
 
     In window coordinates the Hankel operator is constant along diagonals;
-    returns ({degree: block}, defect).
+    returns (run, defect), where run[k] is the mean of the diagonal i - j =
+    k - (N - 1), from the bottom-left corner block to the top-right one.
     """
     N = n_blocks
     view = mat.reshape(N, p, N, q).transpose(0, 2, 1, 3)  # view[i, j] is block (i, j)
     defect = 0.0
-    blocks = {}
+    run = np.empty((2 * N - 1, p, q), dtype=complex)
     for off in range(-(N - 1), N):
         # the blocks (i, j) with i - j = off, top to bottom
         stack = np.moveaxis(np.diagonal(view, offset=-off), -1, 0)
         mean = stack.mean(axis=0)
         if len(stack) > 1:
             defect = max(defect, float(np.max(np.abs(stack - mean))))
-        blocks[off + N - 1] = mean
-    return blocks, defect
+        run[off + N - 1] = mean
+    return run, defect
 
 
 def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -338,27 +339,25 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     # one M11 solve for the beta column and the M12 columns side by side
     sol = np.linalg.solve(m11, np.hstack([plus_coeff_column(data.beta, N), m12]))
     x, hmat = sol[:, :q], -sol[:, q:]
-    g_blocks = {kdeg: -x[kdeg * p : (kdeg + 1) * p, :] for kdeg in range(N)}
-    tail = 0.0
-    for kdeg in range(m + 1, N):
-        tail = max(tail, float(np.max(np.abs(g_blocks[kdeg]))))
-    g = LaurentPoly(p, q, g_blocks)
+    g_run = -x.reshape(N, p, q)
+    tail = float(np.abs(g_run[m + 1 :]).max(initial=0.0))
+    g = LaurentPoly.from_run(0, g_run)
 
+    # y block w is the adjoint of the coefficient of degree N - 1 - w
     y = np.linalg.solve(m22, minus_coeff_column(data.gamma, N))
-    g2_blocks = {}
-    for w in range(N):
-        deg = w - (N - 1)  # y block w is the adjoint coefficient at deg
-        g2_blocks[-deg] = (-y[w * q : (w + 1) * q, :]).conj().T
-    g2 = LaurentPoly(p, q, g2_blocks)
+    g2 = LaurentPoly.from_run(0, (-y.reshape(N, q, p)[::-1]).conj().transpose(0, 2, 1))
 
-    hblocks, hdefect = _hankel_window_stats(hmat, p, q, N)
-    g3 = LaurentPoly(p, q, hblocks)
+    hrun, hdefect = _hankel_window_stats(hmat, p, q, N)
+    g3 = LaurentPoly.from_run(0, hrun)
 
+    # data coefficients at |degree| >= N, all of which lie within m of 0
+    count = max(m + 1 - N, 0)
+    tails = (data.alpha.coeff_run(N, count), data.beta.coeff_run(N, count),
+             data.gamma.coeff_run(-m, count), data.delta.coeff_run(-m, count))
+    peaks = np.concatenate([np.abs(t).max(axis=(1, 2), initial=0.0) for t in tails])
     tail_mass = 0.0
-    for sym in (data.alpha, data.beta, data.gamma, data.delta):
-        for deg in sym.degrees():
-            if abs(deg) >= N:
-                tail_mass += float(np.max(np.abs(sym.coeff(deg))))
+    for peak in peaks.tolist():  # summed in degree order, one symbol after another
+        tail_mass += peak
 
     details = {
         "column_gap": poly_gap(g, g2),
@@ -394,7 +393,7 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
 
     g1 = g2 = None
     if verdict_a == "pass":
-        g1 = LaurentPoly(data.p, data.q, dict(enumerate(_c_side_blocks(data))))
+        g1 = LaurentPoly.from_run(0, _c_side_blocks(data))
     if verdict_d == "pass":
         g2 = _b_side_g(data)
 

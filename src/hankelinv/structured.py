@@ -83,15 +83,6 @@ def _block_toeplitz(seq, n_cols):
     return win.transpose(0, 1, 3, 2).reshape(-1, n_cols * c, copy=True)
 
 
-def _coeff_run(symbol: LaurentPoly, start: int, count: int):
-    """Coefficients of degrees start .. start + count - 1 as one zero-padded array."""
-    out = np.zeros((count, symbol.rows, symbol.cols), dtype=complex)
-    if not symbol.is_zero:
-        for deg in range(max(start, symbol.lo), min(start + count, symbol.hi + 1)):
-            out[deg - start] = symbol.coeff(deg)
-    return out
-
-
 def build(kind: OpKind, symbol, n_blocks: int) -> StructuredOp:
     """Assemble the dense N-block window of a structured operator.
 
@@ -130,7 +121,7 @@ def build(kind: OpKind, symbol, n_blocks: int) -> StructuredOp:
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind}")
     # window block (i, j) holds the coefficient of degree i - j - anchor
-    dense = _block_toeplitz(_coeff_run(symbol, -(N - 1) - anchor, 2 * N - 1), N)
+    dense = _block_toeplitz(symbol.coeff_run(-(N - 1) - anchor, 2 * N - 1), N)
     window = Window(N, margin_for(N, symbol))
     return StructuredOp(kind, symbol, N, (br, bc), dense, window)
 

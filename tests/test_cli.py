@@ -232,7 +232,7 @@ def test_round_trip_report(tmp_path, problem_file, capsys):
     assert io_json.read_json(path) == doc
 
 
-def test_problem_file_schema_validation(tmp_path):
+def test_problem_file_schema_validation(tmp_path, problem_file):
     cases = [
         {},  # missing everything
         {"p": 1, "q": 1, "m": 0, "alpha": [], "beta": [], "gamma": []},  # no delta
@@ -244,10 +244,25 @@ def test_problem_file_schema_validation(tmp_path):
     for entry in ([10**400, 0], [0.5, 0, 7], ["0.5", 0], [True, 0]):
         cases.append({"p": 1, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": [[entry]]}],
                       "beta": [], "gamma": [], "delta": []})
+    # integer fields given as a boolean, a numeric string or a float, each in
+    # an otherwise solvable file (the trivial data set)
+    unit = [{"deg": 0, "mat": [[[1, 0]]]}]
+    trivial = {"p": 1, "q": 1, "m": 0, "alpha": unit, "beta": [], "gamma": [], "delta": unit}
+    for key, value in (("p", True), ("q", "1"), ("m", 1.9), ("p", 1.0)):
+        cases.append(dict(trivial, **{key: value}))
+    cases.append(dict(trivial, alpha=[{"deg": False, "mat": [[[1, 0]]]}]))
     for i, case in enumerate(cases):
         path = tmp_path / f"case{i}.json"
         path.write_text(json.dumps(case))
         assert cli.main(["solve", str(path)]) == 2, case
+    # symbol files that read as g = z/2, which solves problem_file, when a
+    # boolean or a string is taken for an integer
+    good = {"rows": 1, "cols": 1, "coeffs": [{"deg": 1, "mat": [[[0.5, 0.0]]]}]}
+    bad_deg = dict(good, coeffs=[{"deg": True, "mat": [[[0.5, 0.0]]]}])
+    for i, case in enumerate([dict(good, rows=True), dict(good, cols="1"), bad_deg]):
+        gpath = tmp_path / f"g{i}.json"
+        gpath.write_text(json.dumps(case))
+        assert cli.main(["verify", problem_file, str(gpath)]) == 2, case
 
 
 def test_far_apart_degrees_refused_before_allocation(tmp_path, problem_file):

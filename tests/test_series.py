@@ -327,3 +327,23 @@ def test_derived_coefficients_read_only(rng):
         for d in derived.degrees():
             with pytest.raises(ValueError):
                 derived.coeff(d)[0, 0] = 5.0
+
+
+def test_coefficient_runs_in_and_out(rng):
+    f = random_poly(rng, 2, 3, (-1, 0, 2))
+    # a run wider than the support is zero-padded on both sides and read-only
+    run = f.coeff_run(-3, 8)
+    assert run.shape == (8, 2, 3) and not run.flags.writeable
+    for k in range(8):
+        assert np.array_equal(run[k], f.coeff(k - 3))
+    with pytest.raises(ValueError):
+        f.coeff_run(0, 2)[0, 0, 0] = 5.0
+    # the padded run reads back as the same series; the input is copied
+    source = np.array(run)
+    back = LaurentPoly.from_run(-3, source)
+    source[:] = 7.0
+    assert back.degrees() == f.degrees() and hv.poly_gap(back, f) == 0.0
+    with pytest.raises(ShapeError):
+        LaurentPoly.from_run(0, np.eye(2))
+    with pytest.raises(ValueError):
+        LaurentPoly.from_run(0, np.full((1, 1, 1), np.nan))

@@ -209,6 +209,50 @@ def test_truncated_default_window_is_exact(p, q, m):
     assert narrow.details["tail_mass_uncertified"] > 0.0
 
 
+def corner_solve_data(p, q, m, norm, seed):
+    """g of Hankel norm ``norm`` and its data from a dense corner solve.
+
+    Any norm is allowed: the corner operator Omega = [[I, G], [G*, I]] is
+    invertible unless 1 is a singular value of the Hankel corner G.
+    Returns (g coefficients, DataSet, cond(Omega)).
+    """
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))) / np.sqrt(2)
+    n = m + 1
+    corner = np.zeros((n * p, n * q), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):  # block (i, j) holds g_{i + m - j}
+            corner[i * p : (i + 1) * p, j * q : (j + 1) * q] = g[i + m - j]
+    scale = norm / np.linalg.svd(corner, compute_uv=False)[0]
+    g, corner = scale * g, scale * corner
+    omega = np.block([[np.eye(n * p), corner], [corner.conj().T, np.eye(n * q)]])
+    rhs = np.zeros((n * (p + q), p + q), dtype=complex)
+    rhs[:p, :p] = np.eye(p)
+    rhs[-q:, p:] = np.eye(q)
+    sol = np.linalg.solve(omega, rhs)
+    top, bottom = sol[: n * p], sol[n * p :]
+    data = DataSet(
+        alpha=LaurentPoly.from_run(0, top[:, :p].reshape(n, p, p)),
+        beta=LaurentPoly.from_run(0, top[:, p:].reshape(n, p, q)),
+        gamma=LaurentPoly.from_run(-m, bottom[:, :p].reshape(n, q, p)),
+        delta=LaurentPoly.from_run(-m, bottom[:, p:].reshape(n, q, q)),
+    )
+    return g, data, np.linalg.cond(omega)
+
+
+@pytest.mark.parametrize("norm", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("p, q, m", [(1, 1, 4), (2, 1, 3), (1, 2, 3), (2, 2, 5)])
+def test_truncated_recovers_noncontractive_data(p, q, m, norm):
+    # Hankel norm above 1: the data exist, the window route still finds g,
+    # and the strict-contraction check must say the data are not contractive
+    for seed in range(10):
+        g, data, cond = corner_solve_data(p, q, m, norm, seed)
+        rep = hv.solve_truncated(data)
+        err = np.max(np.abs(rep.g.coeff_run(0, m + 1) - g)) / np.max(np.abs(g))
+        assert err <= 1e-10 * cond, (seed, err, cond)
+        assert hv.check_strict_contraction(data).overall() == "fail", seed
+
+
 # -- factorization route -----------------------------------------------------------
 
 
