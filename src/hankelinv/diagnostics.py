@@ -3,7 +3,17 @@
 Every check returns a :class:`CheckReport`, a list of named residuals with
 a pass/fail/inconclusive verdict each.  A verdict is ``pass`` exactly when
 value <= threshold; ``inconclusive`` is reserved for empty margins,
-circle-adjacent roots and checks whose precondition failed.
+circle-adjacent zeros and checks whose precondition failed.
+
+The zero-location check finds no zero.  It asks only whether every zero
+of a determinant lies outside a circle of radius r, and answers by the
+Schur-Cohn recursion on the coefficients: a polynomial a of degree n has
+every zero outside the closed unit disk exactly when |a_n| < |a_0| and
+the reduced polynomial conj(a_0) a - a_n a~ of degree n - 1, with a~ the
+reversed conjugate of a, has too; a step with |a_n| > |a_0| shows a zero
+inside the open disk.  Rescaling a_j -> a_j r**j moves the circle to
+radius r.  det(delta) is read in mu = 1/z, which maps its zeros inside
+the disk to zeros of mu outside it.
 """
 
 from __future__ import annotations
@@ -121,55 +131,95 @@ def check_identities(data: DataSet, tol: float = 1e-10) -> CheckReport:
 # -- zero locations ----------------------------------------------------------
 
 
-def _poly_roots(coeffs):
-    """Roots of sum_j coeffs[j] z**j with leading-coefficient deflation."""
+def _deflated(coeffs):
+    """Coefficients of sum_j coeffs[j] z**j with negligible leading ones dropped."""
     c = np.asarray(coeffs, dtype=complex)
     while c.size and abs(c[-1]) < DEFLATION_TOL:
         c = c[:-1]
     if c.size == 0:
         raise DegenerateError("determinant is identically zero")
-    if c.size == 1:
-        return np.array([], dtype=complex)
-    return np.roots(c[::-1])  # companion-matrix eigenvalues
+    return c
 
 
-def _root_entry(name, roots, band):
-    if roots.size == 0:
-        return CheckEntry(name, -1.0, 0.0, "pass", {"roots": roots})
-    min_mod = float(np.min(np.abs(roots)))
-    value = (1.0 + band) - min_mod
-    if min_mod > 1.0 + band:
-        verdict = "pass"
-    elif min_mod < 1.0 - band:
-        verdict = "fail"
-    else:
-        verdict = "inconclusive"  # circle-adjacent root
-    return CheckEntry(name, value, 0.0, verdict, {"roots": roots, "min_modulus": min_mod})
+def _reflection_margin(c, r):
+    """Smallest 1 - |k| over the Schur-Cohn recursion on a_j = c_j r**j.
+
+    Each step takes the reflection coefficient k = a_n / a_0 and, while
+    |k| < 1, the reduced polynomial conj(a_0) a - a_n a~ of degree n - 1,
+    a~_j = conj(a_{n-j}).  The recursion stops at the first |k| >= 1.  A
+    step's margin is (|a_0| - |a_n|) / max(|a_0|, |a_n|): 1 - |k| when
+    |k| <= 1, and in [-1, 0) beyond, so a zero at the origin stays finite.
+    """
+    a = c * r ** np.arange(c.size)
+    margin = 1.0
+    while a.size > 1:
+        # tail > 0 at the first step (deflated), head > 0 after it
+        head, tail = float(abs(a[0])), float(abs(a[-1]))
+        margin = min(margin, (head - tail) / max(head, tail))
+        if margin <= 0.0:
+            break
+        a = (np.conj(a[0]) * a - a[-1] * np.conj(a[::-1]))[:-1]
+        a = a / np.max(np.abs(a))
+    return margin
+
+
+def _zeros_outside_entry(name, coeffs, band):
+    """Verdict on the zeros of sum_j coeffs[j] z**j lying outside |z| = 1.
+
+    ``pass`` when the recursion at radius 1 + band keeps every |k| < 1, so
+    every zero has |z| > 1 + band; ``fail`` when at radius 1 - band it
+    meets a |k| > 1, so some zero has |z| < 1 - band; ``inconclusive``
+    otherwise.  The value is minus the margin at radius 1 + band and the
+    threshold is 0.
+    """
+    c = _deflated(coeffs)
+    margin = _reflection_margin(c, 1.0 + band)
+    if margin > 0.0:
+        return CheckEntry(name, -margin, 0.0, "pass")
+    verdict = "fail" if _reflection_margin(c, 1.0 - band) < 0.0 else "inconclusive"
+    return CheckEntry(name, -margin, 0.0, verdict)
 
 
 def check_zero_locations(data: DataSet, band: float = CIRCLE_BAND) -> CheckReport:
     """Locations of det(alpha) and det(delta) zeros relative to the circle.
 
-    alpha passes when det(alpha) has no zero with |z| <= 1 + band; delta is
-    mapped through z -> 1/z first, so it passes when det(delta) has no zero
-    with |z| >= 1 - band.  Roots inside the band around the circle give an
-    inconclusive verdict instead of a guess.
+    alpha passes when det(alpha) has no zero with |z| <= 1 + band.  delta
+    is read in mu = 1/z, whose coefficient of mu**j is the degree -j
+    coefficient of det(delta), and passes when that polynomial has no zero
+    with |mu| <= 1 + band, that is when det(delta) has no zero with
+    |z| >= 1/(1 + band).  Each side fails when its polynomial has a zero
+    with modulus below 1 - band, and is inconclusive otherwise, when its
+    zeros nearest the origin lie in the band around the circle.
+
+    No zero is computed.  For a polynomial a of degree n with |a_n| < |a_0|,
+    let b = conj(a_0) a - a_n a~, a~_j = conj(a_{n-j}), whose degree-n
+    term cancels.  On |z| = 1, |a~| = |a|, so |a_n a~| < |a_0| |a| wherever
+    a does not vanish; a zero of a on the circle is one of a~ and of b as
+    well.  Along conj(a_0) a - t a_n a~, t from 0 to 1, no zero crosses the
+    circle, so b has as many zeros in |z| < 1 as a, and a's zeros on the
+    circle.  If every |a_0| > |a_n| down to degree 0, a therefore has no
+    zero in |z| <= 1; if some step meets |a_n| > |a_0|, that polynomial,
+    whose zeros multiply to a modulus |a_0/a_n| < 1, has a zero in
+    |z| < 1, and so has a (Schur-Cohn; Lancaster and Tismenetsky, The
+    Theory of Matrices, 2nd ed., 1985).  The zeros of a_j = c_j r**j are
+    those of c divided by r, so the recursion at radius r tests |z| > r
+    for the zeros of c.  Leading coefficients below ``DEFLATION_TOL`` are
+    dropped first (zeros at infinity).
     """
     det_a = data.alpha.det()
     if det_a.is_zero:
         raise DegenerateError("det(alpha) is identically zero")
-    roots_a = _poly_roots(det_a.coeff_run(0, det_a.hi + 1)[:, 0, 0])
-
     det_d = data.delta.det()
     if det_d.is_zero:
         raise DegenerateError("det(delta) is identically zero")
-    # substitute mu = 1/z: coefficient of mu**j is the degree -j coefficient
-    roots_d = _poly_roots(det_d.coeff_run(det_d.lo, 1 - det_d.lo)[::-1, 0, 0])
-
     return CheckReport(
         [
-            _root_entry("alpha_det_zeros", roots_a, band),
-            _root_entry("delta_det_zeros", roots_d, band),
+            _zeros_outside_entry(
+                "alpha_det_zeros", det_a.coeff_run(0, det_a.hi + 1)[:, 0, 0], band
+            ),
+            _zeros_outside_entry(
+                "delta_det_zeros", det_d.coeff_run(det_d.lo, 1 - det_d.lo)[::-1, 0, 0], band
+            ),
         ]
     )
 

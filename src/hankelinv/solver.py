@@ -99,23 +99,29 @@ def _chunked_unit_lower(u, rhs, chunk=64):
     ``u`` is (m, k, k) with u[0] = I, so the system matrix is unit lower
     triangular entry by entry; ``rhs`` is (m * k, r).  Work is O(m^2) block
     products, split into solves on ``chunk``-block diagonal pieces and
-    block Toeplitz updates of the rows below them.  Every diagonal piece
-    is the same unit lower block Toeplitz matrix, and so is its inverse:
-    one solve for the inverse's first block column gives the whole
-    inverse, and each piece's solve becomes one matrix product.
+    block Toeplitz updates of the rows below them.  A system of one piece
+    is one solve.  Otherwise every diagonal piece is the same unit lower
+    block Toeplitz matrix, and so is its inverse: the first piece's solve
+    also takes the unit columns, which give the inverse's first block
+    column and with it the whole inverse, and each later piece's solve
+    becomes one matrix product.
     """
     m, k = u.shape[0], u.shape[1]
-    x = np.empty_like(rhs)
-    b = rhs.copy()
     ln = min(chunk, m)
     pad = np.zeros_like(u[: ln - 1])
     lower = _block_toeplitz(np.concatenate([pad, u[:ln]]), ln)
-    first = np.linalg.solve(lower, np.eye(ln * k, k)).reshape(ln, k, k)
-    inverse = _block_toeplitz(np.concatenate([pad, first]), ln)
+    if ln == m:
+        return np.linalg.solve(lower, rhs)
+    sol = np.linalg.solve(lower, np.concatenate([np.eye(ln * k, k), rhs[: ln * k]], axis=1))
+    inverse = _block_toeplitz(np.concatenate([pad, sol[:, :k].reshape(ln, k, k)]), ln)
+    x = np.empty_like(rhs)
+    x[: ln * k] = sol[:, k:]
+    b = rhs.copy()
     for s in range(0, m, chunk):
         e = min(s + chunk, m)
         w = e - s
-        x[s * k : e * k] = inverse[: w * k, : w * k] @ b[s * k : e * k]
+        if s:
+            x[s * k : e * k] = inverse[: w * k, : w * k] @ b[s * k : e * k]
         if e < m:
             # rows e..m-1 see the chunk through the blocks u[e-s+i-j]
             b[e * k :] -= _block_toeplitz(u[1 : m - s], w) @ x[s * k : e * k]
@@ -144,8 +150,9 @@ def tri_toeplitz_solve(coeff_blocks, rhs_blocks, orientation="lower"):
     -----
     Cost is O(m^2) block multiplies for every block size: the block rows
     are scaled by the inverse diagonal block, which leaves a unit lower
-    triangular matrix solved chunk by chunk, each chunk as one product with
-    the inverse of the chunk matrix, computed once per call.  An upper
+    triangular matrix solved chunk by chunk: the first chunk by one solve,
+    each later chunk as one product with the inverse of the chunk matrix,
+    computed once per call alongside that solve.  An upper
     system is solved by index reversal of the equivalent lower system.
     """
     if orientation not in ("lower", "upper"):

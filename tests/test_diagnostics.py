@@ -43,7 +43,8 @@ def test_identities_perturbed_a0_isolated(deg1_fixture):
 def test_zeros_identity_passes():
     rep = hv.check_zero_locations(hv.trivial_data(2, 2))
     assert rep.passed
-    assert rep.entry("alpha_det_zeros").extra["roots"].size == 0
+    # a constant determinant has no zero: no recursion step lowers the margin from 1
+    assert rep.entry("alpha_det_zeros").value == -1.0
 
 
 def test_zeros_root_inside_fails():
@@ -56,7 +57,11 @@ def test_zeros_root_inside_fails():
     rep = hv.check_zero_locations(data)
     entry = rep.entry("alpha_det_zeros")
     assert entry.verdict == "fail"
-    assert entry.extra["min_modulus"] == pytest.approx(0.5)
+    # the band verdicts place the zero's modulus in (0.4, 0.6)
+    rep = hv.check_zero_locations(data, band=0.4)
+    assert rep.entry("alpha_det_zeros").verdict == "fail"
+    rep = hv.check_zero_locations(data, band=0.6)
+    assert rep.entry("alpha_det_zeros").verdict == "inconclusive"
 
 
 def test_zeros_circle_adjacent_inconclusive():
@@ -67,6 +72,9 @@ def test_zeros_circle_adjacent_inconclusive():
         delta=LaurentPoly.identity(1),
     )
     rep = hv.check_zero_locations(data)
+    assert rep.entry("alpha_det_zeros").verdict == "inconclusive"
+    # exactly on the circle it stays inconclusive with no band at all
+    rep = hv.check_zero_locations(data, band=0.0)
     assert rep.entry("alpha_det_zeros").verdict == "inconclusive"
 
 
