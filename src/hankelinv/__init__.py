@@ -18,9 +18,6 @@ from .series import (
 )
 from .structured import (
     OpKind,
-    StructuredOp,
-    Window,
-    apply_column,
     build,
     check_product_rules,
     check_shift_relations,
@@ -75,10 +72,7 @@ __all__ = [
     "LaurentPoly",
     "OpKind",
     "SolveReport",
-    "StructuredOp",
     "SubspaceTag",
-    "Window",
-    "apply_column",
     "as_matrix",
     "brute_recover_g",
     "build",

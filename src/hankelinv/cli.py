@@ -160,7 +160,7 @@ def cmd_invert(args) -> int:
     except SynthesisError as exc:
         _err(str(exc))
         return EXIT_SYNTHESIS
-    n = args.order or 4 * fx.data.m + 4
+    n = 4 * fx.data.m + 4 if args.order is None else args.order
     suite = check_lemma_suite(fx.data, n, tol=args.tol)
     margin = inverse_margin(fx.data, g, n)
     inv = verify_inverse(build_omega(g, n), suite["m_alternate"], margin)
@@ -171,7 +171,7 @@ def cmd_invert(args) -> int:
         "lemma_suite": {
             k: v
             for k, v in suite.items()
-            if isinstance(v, (int, float, bool))
+            if k != "margin" and isinstance(v, (int, float, bool))
         },
     }
     _emit(doc)
@@ -243,6 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "order", None) is not None and args.order < 1:
+        _err(f"--order must be a positive block count, got {args.order}")
+        return EXIT_PARSE
     try:
         return args.func(args)
     except (ParseError, ShapeError) as exc:

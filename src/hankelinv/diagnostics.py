@@ -238,7 +238,7 @@ def hankel_norm(g: LaurentPoly) -> float:
         raise ShapeError("hankel_norm needs a symbol supported on degrees >= 0")
     if g.is_zero:
         return 0.0
-    corner = build(OpKind.HANKEL_PLUS, g, g.hi + 1).dense
+    corner = build(OpKind.HANKEL_PLUS, g, g.hi + 1)
     return float(np.linalg.svd(corner, compute_uv=False)[0])
 
 
@@ -287,7 +287,7 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
         )
         m = g.hi + 1 if not g.is_zero else 1
         g1 = g.shifted(-1).project(SubspaceTag.PLUS)
-        corner1 = build(OpKind.HANKEL_PLUS, g1, m).dense
+        corner1 = build(OpKind.HANKEL_PLUS, g1, m)
         # Omega_1 = [[I, C], [C*, I]] has eigenvalues 1 +- sigma_i(C) and ones
         lam1 = 1.0 - float(np.linalg.svd(corner1, compute_uv=False)[0])
         if norm < 1.0:

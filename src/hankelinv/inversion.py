@@ -11,13 +11,13 @@ internally by the identity suite as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError, SingularCornerError
 from .series import LaurentPoly, SubspaceTag, as_matrix
-from .structured import OpKind, Window, build, corner_slice
+from .structured import OpKind, build, corner_slice
 
 CORNER_COND_LIMIT = 1e12
 
@@ -107,7 +107,6 @@ def trivial_data(p: int, q: int) -> DataSet:
 class BigOp:
     """A 2x2 block operator over the two windowed sequence spaces."""
 
-    label: str
     p: int
     q: int
     n_blocks: int
@@ -115,7 +114,6 @@ class BigOp:
     pq: np.ndarray
     qp: np.ndarray
     qq: np.ndarray
-    window: Window = field(default=None)
 
     def __post_init__(self):
         N, p, q = self.n_blocks, self.p, self.q
@@ -127,9 +125,7 @@ class BigOp:
         }
         for name, shape in expect.items():
             if getattr(self, name).shape != shape:
-                raise ShapeError(f"{self.label}.{name} must be {shape}")
-        if self.window is None:
-            self.window = Window(N, 0)
+                raise ShapeError(f"block {name} must be {shape}")
 
     @property
     def dense(self) -> np.ndarray:
@@ -168,10 +164,6 @@ def minus_coeff_column(sym: LaurentPoly, n_blocks: int) -> np.ndarray:
 # -- operator assembly ------------------------------------------------------
 
 
-def _dense(kind, sym, N):
-    return build(kind, sym, N).dense
-
-
 def _plus_extent(sym: LaurentPoly) -> int:
     """Block extent of the corner of a plus symbol (degrees read as [0, hi])."""
     return 1 if sym.is_zero else max(sym.hi, 0) + 1
@@ -183,9 +175,8 @@ def build_omega(g: LaurentPoly, n_blocks: int) -> BigOp:
         raise ShapeError("g must be supported on degrees >= 0")
     N = int(n_blocks)
     p, q = g.rows, g.cols
-    hp = _dense(OpKind.HANKEL_PLUS, g, N)
+    hp = build(OpKind.HANKEL_PLUS, g, N)
     return BigOp(
-        label="omega",
         p=p,
         q=q,
         n_blocks=N,
@@ -193,7 +184,6 @@ def build_omega(g: LaurentPoly, n_blocks: int) -> BigOp:
         pq=hp,
         qp=hp.conj().T,
         qq=np.eye(N * q, dtype=complex),
-        window=Window(N, max(0, N - _plus_extent(g))),
     )
 
 
@@ -208,40 +198,41 @@ def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> BigOp:
     if variant not in ("primary", "alternate"):
         raise ValueError(f"unknown variant {variant!r}")
     N = int(n_blocks)
+    if N < 1:
+        raise ShapeError("window must retain at least one block")
     p, q = data.p, data.q
     a0inv, d0inv = data.corner_inverses()
     da = np.kron(np.eye(N), a0inv)
     dd = np.kron(np.eye(N), d0inv)
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
 
-    tp_a = _dense(OpKind.TOEPLITZ_PLUS, al, N)
-    tm_d = _dense(OpKind.TOEPLITZ_MINUS, de, N)
-    hm_g = _dense(OpKind.HANKEL_MINUS, ga, N)
-    hp_b = _dense(OpKind.HANKEL_PLUS, be, N)
+    tp_a = build(OpKind.TOEPLITZ_PLUS, al, N)
+    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
+    hm_g = build(OpKind.HANKEL_MINUS, ga, N)
+    hp_b = build(OpKind.HANKEL_PLUS, be, N)
 
     if variant == "primary":
-        sp_p = _dense(OpKind.SHIFT_PLUS, p, N)
-        sm_q = _dense(OpKind.SHIFT_MINUS, q, N)
-        tp_b = _dense(OpKind.TOEPLITZ_PLUS, be, N)
-        tm_g = _dense(OpKind.TOEPLITZ_MINUS, ga, N)
-        hp_a = _dense(OpKind.HANKEL_PLUS, al, N)
-        hm_d = _dense(OpKind.HANKEL_MINUS, de, N)
+        sp_p = build(OpKind.SHIFT_PLUS, p, N)
+        sm_q = build(OpKind.SHIFT_MINUS, q, N)
+        tp_b = build(OpKind.TOEPLITZ_PLUS, be, N)
+        tm_g = build(OpKind.TOEPLITZ_MINUS, ga, N)
+        hp_a = build(OpKind.HANKEL_PLUS, al, N)
+        hm_d = build(OpKind.HANKEL_MINUS, de, N)
         m11 = tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T
         m21 = hm_g @ da @ tp_a.conj().T - sm_q.conj().T @ hm_d @ dd @ tp_b.conj().T @ sp_p.conj().T
         m12 = hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T
         m22 = tm_d @ dd @ tm_d.conj().T - sm_q @ tm_g @ da @ tm_g.conj().T @ sm_q.conj().T
     else:
-        tp_lb = _dense(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
-        tm_lg = _dense(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
-        hp_la = _dense(OpKind.HANKEL_PLUS, al.shifted(-1), N)
-        hm_ld = _dense(OpKind.HANKEL_MINUS, de.shifted(1), N)
+        tp_lb = build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
+        tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
+        hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
+        hm_ld = build(OpKind.HANKEL_MINUS, de.shifted(1), N)
         m11 = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
         m21 = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
         m12 = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
         m22 = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
 
     return BigOp(
-        label=f"m_{variant}",
         p=p,
         q=q,
         n_blocks=N,
@@ -249,7 +240,6 @@ def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> BigOp:
         pq=m12,
         qp=m21,
         qq=m22,
-        window=Window(N, max(0, N - 2 * data.extent())),
     )
 
 
@@ -262,21 +252,20 @@ def _build_m_hankel(data: DataSet, n_blocks: int) -> BigOp:
     dd = np.kron(np.eye(N), d0inv)
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
 
-    hp_la = _dense(OpKind.HANKEL_PLUS, al.shifted(-1), N)
-    hp_b = _dense(OpKind.HANKEL_PLUS, be, N)
-    hm_g = _dense(OpKind.HANKEL_MINUS, ga, N)
-    hm_ld = _dense(OpKind.HANKEL_MINUS, de.shifted(1), N)
-    tp_a = _dense(OpKind.TOEPLITZ_PLUS, al, N)
-    tp_lb = _dense(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
-    tm_d = _dense(OpKind.TOEPLITZ_MINUS, de, N)
-    tm_lg = _dense(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
+    hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
+    hp_b = build(OpKind.HANKEL_PLUS, be, N)
+    hm_g = build(OpKind.HANKEL_MINUS, ga, N)
+    hm_ld = build(OpKind.HANKEL_MINUS, de.shifted(1), N)
+    tp_a = build(OpKind.TOEPLITZ_PLUS, al, N)
+    tp_lb = build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
+    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
+    tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
 
     m11 = np.eye(N * p) - hp_la @ da @ hp_la.conj().T + hp_b @ dd @ hp_b.conj().T
     m21 = tm_d @ dd @ hp_b.conj().T - tm_lg @ da @ hp_la.conj().T
     m12 = tp_a @ da @ hm_g.conj().T - tp_lb @ dd @ hm_ld.conj().T
     m22 = np.eye(N * q) - hm_ld @ dd @ hm_ld.conj().T + hm_g @ da @ hm_g.conj().T
     return BigOp(
-        label="m_hankel",
         p=p,
         q=q,
         n_blocks=N,
@@ -284,7 +273,6 @@ def _build_m_hankel(data: DataSet, n_blocks: int) -> BigOp:
         pq=m12,
         qp=m21,
         qq=m22,
-        window=Window(N, max(0, N - 2 * data.extent())),
     )
 
 
@@ -321,7 +309,7 @@ def verify_inverse(omega: BigOp, m: BigOp, margin: int) -> dict:
     return {
         "m_omega": _block_residual(mm @ om - eye, p, q, N, margin),
         "omega_m": _block_residual(om @ mm - eye, p, q, N, margin),
-        "window": Window(N, margin),
+        "margin": margin,
         "inconclusive": margin <= 0,
     }
 
@@ -375,14 +363,14 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     margin_pair = max(0, N - 2 * data.extent())
 
     # Exchange identities: T+(rho*) H+(...) = H+(...) T-(...) in block form.
-    tp_as = _dense(OpKind.TOEPLITZ_PLUS, al.adjoint(), N)
-    tp_lbs = _dense(OpKind.TOEPLITZ_PLUS, be.adjoint().shifted(-1), N)
-    hp_la = _dense(OpKind.HANKEL_PLUS, al.shifted(-1), N)
-    hp_b = _dense(OpKind.HANKEL_PLUS, be, N)
-    hp_gs = _dense(OpKind.HANKEL_PLUS, ga.adjoint(), N)
-    hp_lds = _dense(OpKind.HANKEL_PLUS, de.adjoint().shifted(-1), N)
-    tm_lg = _dense(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
-    tm_d = _dense(OpKind.TOEPLITZ_MINUS, de, N)
+    tp_as = build(OpKind.TOEPLITZ_PLUS, al.adjoint(), N)
+    tp_lbs = build(OpKind.TOEPLITZ_PLUS, be.adjoint().shifted(-1), N)
+    hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
+    hp_b = build(OpKind.HANKEL_PLUS, be, N)
+    hp_gs = build(OpKind.HANKEL_PLUS, ga.adjoint(), N)
+    hp_lds = build(OpKind.HANKEL_PLUS, de.adjoint().shifted(-1), N)
+    tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
+    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
 
     def pm_res(lhs, rhs, br, bc):
         rs = corner_slice("plus", N, margin_pair, br)
@@ -398,8 +386,8 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     }
 
     # Shifted variant of the exchange identity (one extra backward shift).
-    sp_p = _dense(OpKind.SHIFT_PLUS, p, N)
-    sm_q = _dense(OpKind.SHIFT_MINUS, q, N)
+    sp_p = build(OpKind.SHIFT_PLUS, p, N)
+    sm_q = build(OpKind.SHIFT_MINUS, q, N)
     lhs_shift = np.vstack([tp_as, tp_lbs]) @ sp_p.conj().T @ np.hstack([hp_la, hp_b])
     rhs_shift = np.vstack([hp_gs, hp_lds]) @ sm_q @ np.hstack([tm_lg, tm_d])
     rs = _stacked_corner_indices([("plus", p), ("plus", q)], N, margin_pair)
@@ -451,7 +439,7 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     out = {
         "precondition_identities": max(id_res),
         "precondition_ok": precondition_ok,
-        "window": Window(N, margin_pair),
+        "margin": margin_pair,
         "inconclusive": margin_pair == 0,
         "j_congruence": j_res,
         "intertwine": inter_res,

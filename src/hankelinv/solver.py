@@ -21,7 +21,8 @@ delta coefficients, followed by the beta product) and the c-side solve
   matrix that commutes with the window projection.
 
 ``tri_toeplitz_solve`` is the shared structured kernel: an O(m^2)
-chunked solver for triangular block Toeplitz systems of any block size.
+chunked solver for lower triangular block Toeplitz systems of any block
+size, on (n, k, k) and (m, k, r) block arrays.
 """
 
 from __future__ import annotations
@@ -73,121 +74,72 @@ class SolveReport:
 
 # -- triangular block Toeplitz kernel ----------------------------------------
 
+_CHUNK = 64
 
-def _stack_blocks(blocks, what):
-    """Stack a sequence of equally shaped blocks into one (m, k, r) array."""
+
+def _block_array(a, what):
+    """``a`` as a finite complex (n, rows, cols) array."""
     try:
-        arr = np.asarray(blocks, dtype=complex)
+        arr = np.asarray(a, dtype=complex)
     except (ValueError, TypeError) as exc:
         raise ShapeError(f"{what} blocks must share one shape: {exc}") from exc
-    if arr.ndim == 1:       # sequence of scalars
-        arr = arr[:, None, None]
-    elif arr.ndim == 2:     # sequence of 1-d blocks: treat as columns
-        arr = arr[:, :, None]
-    elif arr.ndim != 3:
-        raise ShapeError(f"{what} blocks must be matrices")
-    if arr.size and not (
-        np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))
-    ):
+    if arr.ndim != 3:
+        raise ShapeError(f"{what} must be an (n, rows, cols) block array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} blocks must be finite")
     return arr
 
 
-def _chunked_unit_lower(u, rhs, chunk=64):
-    """Forward recursion for a block lower triangular Toeplitz system.
-
-    ``u`` is (m, k, k) with u[0] = I, so the system matrix is unit lower
-    triangular entry by entry; ``rhs`` is (m * k, r).  Work is O(m^2) block
-    products, split into solves on ``chunk``-block diagonal pieces and
-    block Toeplitz updates of the rows below them.  A system of one piece
-    is one solve.  Otherwise every diagonal piece is the same unit lower
-    block Toeplitz matrix, and so is its inverse: the first piece's solve
-    also takes the unit columns, which give the inverse's first block
-    column and with it the whole inverse, and each later piece's solve
-    becomes one matrix product.
-    """
-    m, k = u.shape[0], u.shape[1]
-    ln = min(chunk, m)
-    pad = np.zeros_like(u[: ln - 1])
-    lower = _block_toeplitz(np.concatenate([pad, u[:ln]]), ln)
-    if ln == m:
-        return np.linalg.solve(lower, rhs)
-    sol = np.linalg.solve(lower, np.concatenate([np.eye(ln * k, k), rhs[: ln * k]], axis=1))
-    inverse = _block_toeplitz(np.concatenate([pad, sol[:, :k].reshape(ln, k, k)]), ln)
-    x = np.empty_like(rhs)
-    x[: ln * k] = sol[:, k:]
-    b = rhs.copy()
-    for s in range(0, m, chunk):
-        e = min(s + chunk, m)
-        w = e - s
-        if s:
-            x[s * k : e * k] = inverse[: w * k, : w * k] @ b[s * k : e * k]
-        if e < m:
-            # rows e..m-1 see the chunk through the blocks u[e-s+i-j]
-            b[e * k :] -= _block_toeplitz(u[1 : m - s], w) @ x[s * k : e * k]
-    return x
-
-
-def tri_toeplitz_solve(coeff_blocks, rhs_blocks, orientation="lower"):
-    """Solve a triangular block Toeplitz system by block recursion.
+def tri_toeplitz_solve(t, b):
+    """Solve a lower triangular block Toeplitz system T x = b.
 
     Parameters
     ----------
-    coeff_blocks : sequence of (k, k) arrays
-        ``coeff_blocks[j]`` is the block on the j-th subdiagonal (lower)
-        or j-th superdiagonal (upper); ``coeff_blocks[0]`` is the diagonal
-        block and must be invertible.  For a lower system this is the
-        first block column, for an upper system the first block row.
-    rhs_blocks : sequence of (k, r) arrays
-        Right-hand side block column; its length sets the system size.
-    orientation : 'lower' or 'upper'
+    t : (n, k, k) array
+        ``t[j]`` is the block on the j-th block subdiagonal, so ``t`` is
+        the first block column; ``t[0]`` must be invertible and blocks
+        past ``n - 1`` are zero.
+    b : (m, k, r) array
+        Right-hand side block column; ``m`` sets the system size.
 
     Returns
     -------
-    list of (k, r) arrays
+    (m, k, r) array
 
     Notes
     -----
-    Cost is O(m^2) block multiplies for every block size: the block rows
-    are scaled by the inverse diagonal block, which leaves a unit lower
-    triangular matrix solved chunk by chunk: the first chunk by one solve,
-    each later chunk as one product with the inverse of the chunk matrix,
-    computed once per call alongside that solve.  An upper
-    system is solved by index reversal of the equivalent lower system.
+    Cost is O(m^2) block products: each chunk of 64 block rows is one
+    solve against the same chunk matrix, followed by a block Toeplitz
+    update of the rows below it.
     """
-    if orientation not in ("lower", "upper"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    tt = _stack_blocks(coeff_blocks, "coefficient")
-    if tt.shape[0] == 0:
+    t = _block_array(t, "coefficient")
+    b = _block_array(b, "right-hand side")
+    n, k = t.shape[0], t.shape[1]
+    if n == 0:
         raise ShapeError("need at least the diagonal block")
-    k = tt.shape[1]
-    if tt.shape[2] != k:
+    if t.shape[2] != k:
         raise ShapeError("coefficient blocks must be square")
-    B = _stack_blocks(rhs_blocks, "right-hand side")
-    m = B.shape[0]
-    if m == 0:
-        return []
-    if B.shape[1] != k:
+    m, r = b.shape[0], b.shape[2]
+    if b.shape[1] != k:
         raise ShapeError(f"right-hand side blocks must have {k} rows")
-
-    T = np.zeros((m, k, k), dtype=complex)
-    T[: min(m, tt.shape[0])] = tt[:m]
-    if orientation == "upper":
-        B = B[::-1]
-
-    if np.linalg.cond(T[0]) > 1e12:
+    if m == 0:
+        return np.zeros((0, k, r), dtype=complex)
+    if np.linalg.cond(t[0]) > 1e12:
         raise SingularBlockError("diagonal block of the triangular system is singular")
 
-    # Scaling every block row by T0^-1 makes the diagonal blocks I.  One
-    # solve over all blocks side by side costs far less than m small ones.
-    r = B.shape[2]
-    side = np.concatenate([T, B], axis=2).transpose(1, 0, 2).reshape(k, m * (k + r))
-    side = np.linalg.solve(T[0], side).reshape(k, m, k + r).transpose(1, 0, 2)
-    X = _chunked_unit_lower(side[:, :, :k], side[:, :, k:].reshape(m * k, r))
-    X = X.reshape(m, k, r)
-    if orientation == "upper":
-        X = X[::-1]
-    return [X[i] for i in range(m)]
+    T = np.zeros((m, k, k), dtype=complex)
+    T[: min(m, n)] = t[:m]
+    ln = min(_CHUNK, m)
+    lower = _block_toeplitz(np.concatenate([np.zeros_like(T[: ln - 1]), T[:ln]]), ln)
+    x = b.reshape(m * k, r).copy()
+    for s in range(0, m, _CHUNK):
+        e = min(s + _CHUNK, m)
+        w = e - s
+        x[s * k : e * k] = np.linalg.solve(lower[: w * k, : w * k], x[s * k : e * k])
+        if e < m:
+            # rows e..m-1 see the chunk through the blocks T[e-s+i-j]
+            x[e * k :] -= _block_toeplitz(T[1 : m - s], w) @ x[s * k : e * k]
+    return x.reshape(m, k, r)
 
 
 # -- shared gates -------------------------------------------------------------
@@ -227,12 +179,16 @@ def _report(data, g, method, id_res, tol, flags, details):
 
 
 def _c_side_blocks(data: DataSet):
-    """Coefficients from the upper triangular system driven by a and c."""
+    """Coefficients from the upper triangular system driven by a and c.
+
+    Read bottom to top, the upper system with first block row alpha_j* is
+    the lower one with the same blocks as its first column, driven by
+    gamma's degrees -m, ..., 0; its solution comes out highest degree first.
+    """
     m = data.m
     acols = data.alpha.coeff_run(0, m + 1).conj().transpose(0, 2, 1)
-    # the right-hand side runs over gamma's degrees 0, -1, ..., -m
-    rhs = -data.gamma.coeff_run(-m, m + 1)[::-1].conj().transpose(0, 2, 1)
-    return tri_toeplitz_solve(acols, rhs, orientation="upper")
+    rhs = -data.gamma.coeff_run(-m, m + 1).conj().transpose(0, 2, 1)
+    return tri_toeplitz_solve(acols, rhs)[::-1]
 
 
 def _b_side_blocks(data: DataSet):
@@ -240,9 +196,8 @@ def _b_side_blocks(data: DataSet):
     m, q = data.m, data.q
     dcols = data.delta.coeff_run(-m, m + 1)[::-1]
     rhs = np.zeros((m + 1, q, q), dtype=complex)
-    rhs[m] = np.eye(q)
-    x = tri_toeplitz_solve(dcols, rhs, orientation="upper")
-    e = np.array(x[::-1])  # e[s] solves the unit system at anti-diagonal position s
+    rhs[0] = np.eye(q)
+    e = tri_toeplitz_solve(dcols, rhs)  # e[s] solves the unit system at anti-diagonal position s
     # block k is -sum_s beta_{k+s} e[s]; the run's m zero blocks past beta_m end each sum
     win = np.lib.stride_tricks.sliding_window_view(data.beta.coeff_run(0, 2 * m + 1), m + 1, axis=0)
     return -np.einsum("kpqs,sqr->kpr", win, e)
@@ -263,7 +218,7 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     flags = []
     id_res = _identity_gate(data, tol, flags)
     gb = _b_side_blocks(data)
-    gap = float(np.max(np.abs(gb - np.array(_c_side_blocks(data)))))
+    gap = float(np.max(np.abs(gb - _c_side_blocks(data))))
     g = LaurentPoly.from_run(0, gb)
     details = {"two_sided_gap": gap, "degree_bound": data.m}
     return _report(data, g, "polynomial", id_res, tol, flags, details)
@@ -327,7 +282,7 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     flags = []
     id_res = _identity_gate(data, tol, flags)
     m = data.m
-    N = int(n_blocks) if n_blocks else data.extent()
+    N = data.extent() if n_blocks is None else int(n_blocks)
     p, q = data.p, data.q
 
     big = build_m(data, N, "alternate")

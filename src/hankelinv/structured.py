@@ -17,12 +17,11 @@ domain columns).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .series import LaurentPoly, as_matrix
+from .series import LaurentPoly
 
 
 class OpKind(enum.Enum):
@@ -30,35 +29,8 @@ class OpKind(enum.Enum):
     TOEPLITZ_MINUS = "toeplitz_minus"
     HANKEL_PLUS = "hankel_plus"
     HANKEL_MINUS = "hankel_minus"
-    DIAG_DELTA = "diag_delta"
     SHIFT_PLUS = "shift_plus"
     SHIFT_MINUS = "shift_minus"
-
-
-@dataclass(frozen=True)
-class Window:
-    """A truncation window: N retained blocks and the exact margin."""
-
-    n_blocks: int
-    margin: int
-
-    @property
-    def conclusive(self) -> bool:
-        return self.margin > 0
-
-
-@dataclass(frozen=True)
-class StructuredOp:
-    kind: OpKind
-    symbol: object           # LaurentPoly, matrix (DIAG_DELTA) or block dim (shifts)
-    n_blocks: int
-    block_shape: tuple       # (rows, cols) of one block
-    dense: np.ndarray
-    window: Window
-
-    @property
-    def shape(self):
-        return self.dense.shape
 
 
 def margin_for(n_blocks: int, *symbols) -> int:
@@ -83,13 +55,13 @@ def _block_toeplitz(seq, n_cols):
     return win.transpose(0, 1, 3, 2).reshape(-1, n_cols * c, copy=True)
 
 
-def build(kind: OpKind, symbol, n_blocks: int) -> StructuredOp:
-    """Assemble the dense N-block window of a structured operator.
+def build(kind: OpKind, symbol, n_blocks: int) -> np.ndarray:
+    """The dense N-block window of a structured operator.
 
-    ``symbol`` is a LaurentPoly for the Toeplitz/Hankel kinds, a square
-    matrix r0 for DIAG_DELTA, and a block dimension (int) for the shifts.
-    A window narrower than the symbol support is not an error; it just
-    comes back with margin 0.
+    ``symbol`` is a LaurentPoly (or a constant matrix) for the
+    Toeplitz/Hankel kinds and a block dimension (int) for the shifts.  A
+    window narrower than the symbol support is not an error; its exact
+    margin (``margin_for``) is just 0.
     """
     N = int(n_blocks)
     if N < 1:
@@ -98,20 +70,10 @@ def build(kind: OpKind, symbol, n_blocks: int) -> StructuredOp:
     if kind in (OpKind.SHIFT_PLUS, OpKind.SHIFT_MINUS):
         n = int(symbol)
         # S+ puts I on the block subdiagonal, S- on the block superdiagonal
-        dense = np.eye(N * n, k=-n if kind is OpKind.SHIFT_PLUS else n, dtype=complex)
-        return StructuredOp(kind, n, N, (n, n), dense, Window(N, N - 1))
-
-    if kind is OpKind.DIAG_DELTA:
-        r0 = as_matrix(symbol)
-        if r0.shape[0] != r0.shape[1]:
-            raise ShapeError("diagonal operator needs a square block")
-        n = r0.shape[0]
-        dense = np.kron(np.eye(N), r0)
-        return StructuredOp(kind, r0, N, (n, n), dense, Window(N, N))
+        return np.eye(N * n, k=-n if kind is OpKind.SHIFT_PLUS else n, dtype=complex)
 
     if not isinstance(symbol, LaurentPoly):
         symbol = LaurentPoly.constant(symbol)
-    br, bc = symbol.rows, symbol.cols
     if kind is OpKind.TOEPLITZ_PLUS or kind is OpKind.TOEPLITZ_MINUS:
         anchor = 0
     elif kind is OpKind.HANKEL_PLUS:
@@ -121,29 +83,7 @@ def build(kind: OpKind, symbol, n_blocks: int) -> StructuredOp:
     else:  # pragma: no cover
         raise ValueError(f"unknown kind {kind}")
     # window block (i, j) holds the coefficient of degree i - j - anchor
-    dense = _block_toeplitz(symbol.coeff_run(-(N - 1) - anchor, 2 * N - 1), N)
-    window = Window(N, margin_for(N, symbol))
-    return StructuredOp(kind, symbol, N, (br, bc), dense, window)
-
-
-def apply_column(op: StructuredOp, blocks) -> list:
-    """Apply the windowed operator to a block column.
-
-    ``blocks`` is a sequence of N matrices with op.block_shape[1] rows;
-    the result is the block form of the dense matrix-vector product.
-    """
-    N = op.n_blocks
-    blocks = [as_matrix(b) for b in blocks]
-    if len(blocks) != N:
-        raise ShapeError(f"expected {N} blocks, got {len(blocks)}")
-    bc = op.block_shape[1]
-    width = blocks[0].shape[1]
-    for b in blocks:
-        if b.shape != (bc, width):
-            raise ShapeError(f"block shape {b.shape} does not match ({bc}, {width})")
-    out = op.dense @ np.vstack(blocks)
-    br = op.block_shape[0]
-    return [out[i * br : (i + 1) * br, :] for i in range(N)]
+    return _block_toeplitz(symbol.coeff_run(-(N - 1) - anchor, 2 * N - 1), N)
 
 
 def corner_slice(space: str, n_blocks: int, margin: int, block: int) -> slice:
@@ -176,7 +116,7 @@ def check_product_rules(rho: LaurentPoly, phi: LaurentPoly, n_blocks: int) -> di
 
     The identities relate the window of a product symbol to products of
     windows; they hold exactly on the margin sub-window.  Returns a dict
-    with one residual per identity, the window used and an inconclusive
+    with one residual per identity, the exact margin and an inconclusive
     flag when the margin is empty.
     """
     if rho.cols != phi.rows:
@@ -186,7 +126,7 @@ def check_product_rules(rho: LaurentPoly, phi: LaurentPoly, n_blocks: int) -> di
     margin = margin_for(N, rho, phi)
 
     def dn(kind, sym):
-        return build(kind, sym, N).dense
+        return build(kind, sym, N)
 
     tp, tm = OpKind.TOEPLITZ_PLUS, OpKind.TOEPLITZ_MINUS
     hp, hm = OpKind.HANKEL_PLUS, OpKind.HANKEL_MINUS
@@ -216,7 +156,7 @@ def check_product_rules(rho: LaurentPoly, phi: LaurentPoly, n_blocks: int) -> di
     }
     return {
         "residuals": residuals,
-        "window": Window(N, margin),
+        "margin": margin,
         "inconclusive": margin == 0,
     }
 
@@ -229,21 +169,21 @@ def check_shift_relations(rho: LaurentPoly, n_blocks: int) -> dict:
     N = int(n_blocks)
     margin = margin_for(N, rho)
     n, m = rho.rows, rho.cols
-    sm = build(OpKind.SHIFT_MINUS, n, N).dense
-    sp = build(OpKind.SHIFT_PLUS, n, N).dense
+    sm = build(OpKind.SHIFT_MINUS, n, N)
+    sp = build(OpKind.SHIFT_PLUS, n, N)
     res_minus = margin_residual(
-        sm.conj().T @ build(OpKind.HANKEL_MINUS, rho, N).dense,
-        build(OpKind.HANKEL_MINUS, rho.shifted(1), N).dense,
+        sm.conj().T @ build(OpKind.HANKEL_MINUS, rho, N),
+        build(OpKind.HANKEL_MINUS, rho.shifted(1), N),
         "minus", "plus", N, margin, n, m,
     )
     res_plus = margin_residual(
-        sp.conj().T @ build(OpKind.HANKEL_PLUS, rho, N).dense,
-        build(OpKind.HANKEL_PLUS, rho.shifted(-1), N).dense,
+        sp.conj().T @ build(OpKind.HANKEL_PLUS, rho, N),
+        build(OpKind.HANKEL_PLUS, rho.shifted(-1), N),
         "plus", "minus", N, margin, n, m,
     )
     return {
         "residuals": {"minus": res_minus, "plus": res_plus},
-        "window": Window(N, margin),
+        "margin": margin,
         "inconclusive": margin == 0,
     }
 
@@ -256,12 +196,12 @@ def hankel_shift_intertwine_residuals(rho: LaurentPoly, n_blocks: int) -> dict:
     """
     N = int(n_blocks)
     n, m = rho.rows, rho.cols
-    hp = build(OpKind.HANKEL_PLUS, rho, N).dense
-    hm = build(OpKind.HANKEL_MINUS, rho, N).dense
-    sp_n = build(OpKind.SHIFT_PLUS, n, N).dense
-    sm_m = build(OpKind.SHIFT_MINUS, m, N).dense
-    sm_n = build(OpKind.SHIFT_MINUS, n, N).dense
-    sp_m = build(OpKind.SHIFT_PLUS, m, N).dense
+    hp = build(OpKind.HANKEL_PLUS, rho, N)
+    hm = build(OpKind.HANKEL_MINUS, rho, N)
+    sp_n = build(OpKind.SHIFT_PLUS, n, N)
+    sm_m = build(OpKind.SHIFT_MINUS, m, N)
+    sm_n = build(OpKind.SHIFT_MINUS, n, N)
+    sp_m = build(OpKind.SHIFT_PLUS, m, N)
 
     d_plus = sp_n.conj().T @ hp - hp @ sm_m
     d_minus = sm_n.conj().T @ hm - hm @ sp_m

@@ -219,8 +219,8 @@ def test_criterion_8_structured_solver_speed():
     decay = 0.3 ** np.arange(1, m)
     t[1:] = decay * (rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)) / np.sqrt(2)
     rhs = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
-    col_blocks = [t[j].reshape(1, 1) for j in range(m)]
-    rhs_blocks = [rhs[j].reshape(1, 1) for j in range(m)]
+    col_blocks = t.reshape(m, 1, 1)
+    rhs_blocks = rhs.reshape(m, 1, 1)
     dense = np.tril(t[np.subtract.outer(np.arange(m), np.arange(m))])
 
     def best_pair(fast, slow, repeats=7):
@@ -241,7 +241,7 @@ def test_criterion_8_structured_solver_speed():
         lambda: hv.tri_toeplitz_solve(col_blocks, rhs_blocks),
         lambda: np.linalg.solve(dense, rhs),
     )
-    x_fast = np.vstack(hv.tri_toeplitz_solve(col_blocks, rhs_blocks))
+    x_fast = hv.tri_toeplitz_solve(col_blocks, rhs_blocks).reshape(m, 1)
     x_lu = np.linalg.solve(dense, rhs)
     agreement = float(np.max(np.abs(x_fast - x_lu)))
     ratio = t_lu / t_fast

@@ -138,6 +138,20 @@ def test_invert_inconclusive_window(g_file):
     assert cli.main(["invert", g_file, "--order", "2"]) == 6
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("command", ["truncated", "all", "invert"])
+def test_nonpositive_order_refused(problem_file, g_file, capsys, command, order):
+    # a window must retain at least one block; 0 is not "the default"
+    if command == "invert":
+        argv = ["invert", g_file]
+    else:
+        argv = ["solve", problem_file, "--method", command]
+    assert cli.main(argv + ["--order", order]) == 2
+    captured = capsys.readouterr()
+    assert "--order" in captured.err
+    assert captured.out == ""
+
+
 def test_invert_emits_strict_json(tmp_path, capsys):
     # 0.1 + 0.2 z^8 at order 10 leaves undefined residuals, written as null
     gpath = tmp_path / "g8.json"

@@ -175,7 +175,7 @@ def test_lemma_suite_random_degree4():
     suite = hv.check_lemma_suite(fx.data, 24)
     numeric = {k: v for k, v in suite.items() if isinstance(v, float)}
     assert max(numeric.values()) <= 1e-10, numeric
-    assert suite["window"].margin > 0
+    assert suite["margin"] > 0
 
 
 def test_lemma_suite_flags_bad_precondition(deg1_fixture):

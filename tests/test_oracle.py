@@ -134,9 +134,15 @@ def test_random_fixture_invariants():
 # -- round trips -------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed,p,q,m,t", [(0, 1, 1, 2, 0.3), (1, 3, 1, 4, 0.9), (2, 2, 2, 0, 0.6)])
+# m + 1 = 101 and 71 blocks run the triangular kernel past its first 64-block chunk
+@pytest.mark.parametrize(
+    "seed,p,q,m,t",
+    [(0, 1, 1, 2, 0.3), (1, 3, 1, 4, 0.9), (2, 2, 2, 0, 0.6), (3, 1, 1, 100, 0.9), (4, 2, 2, 70, 0.9)],
+)
 def test_round_trip_all_methods(seed, p, q, m, t):
     fx = hv.random_fixture(p=p, q=q, m=m, target_norm=t, rng_seed=seed)
-    assert hv.poly_gap(hv.solve_polynomial(fx.data).g, fx.g) <= 1e-8
+    rep = hv.solve_polynomial(fx.data)
+    assert hv.poly_gap(rep.g, fx.g) <= 1e-8
+    assert rep.details["two_sided_gap"] <= 1e-12
     assert hv.poly_gap(hv.solve_truncated(fx.data).g, fx.g) <= 1e-8
     assert hv.poly_gap(hv.solve_factorization(fx.data).g, fx.g) <= 1e-8

@@ -11,6 +11,7 @@ from hankelinv.errors import (
     DataIdentityError,
     FactorizationUnavailableError,
     InjectivityError,
+    ShapeError,
     SingularBlockError,
 )
 
@@ -29,48 +30,37 @@ def perturbed(data, which, eps):
 
 def test_tri_single_block(deg0_fixture):
     d0 = deg0_fixture.data.d0
-    out = hv.tri_toeplitz_solve([d0], [np.eye(1)])
-    assert abs(out[0][0, 0] - 0.75) < 1e-14
+    out = hv.tri_toeplitz_solve(d0[None], np.eye(1)[None])
+    assert out.shape == (1, 1, 1)
+    assert abs(out[0, 0, 0] - 0.75) < 1e-14
 
 
 def test_tri_identity_diagonal(rng):
-    rhs = [rng.standard_normal((2, 1)) for _ in range(5)]
-    out = hv.tri_toeplitz_solve([np.eye(2)], rhs)
-    for got, want in zip(out, rhs):
-        assert np.allclose(got, want)
+    rhs = rng.standard_normal((5, 2, 1))
+    out = hv.tri_toeplitz_solve(np.eye(2)[None], rhs)
+    assert np.allclose(out, rhs)
 
 
 def test_tri_block_vs_dense_lu(rng):
-    # (k, m, decay of the off-diagonal blocks); m = 150 crosses chunk boundaries
-    for k, m, decay in ((3, 4, 1.0), (2, 150, 0.7)):
-        blocks = [np.eye(k) + 0.3 * rng.standard_normal((k, k))]
-        blocks += [
-            0.4 * decay**j * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-            for j in range(1, m)
-        ]
-        rhs = [rng.standard_normal((k, 2)) for _ in range(m)]
-        got = np.vstack(hv.tri_toeplitz_solve(blocks, rhs))
+    # (k, m, decay of the off-diagonal blocks, spread of the diagonal block,
+    # imaginary weight); the chunks hold 64 blocks, so m = 63, 64, 65, 128,
+    # 129, 150 and 257 sit on either side of chunk boundaries
+    cases = [(3, 4, 1.0, 0.3, 1j), (2, 150, 0.7, 0.3, 1j), (3, 257, 0.7, 0.2, 0)]
+    cases += [(k, m, 0.3, 0.3, 1j) for m in (63, 64, 65, 128, 129) for k in (1, 3)]
+    for k, m, decay, spread, imag in cases:
+        blocks = np.empty((m, k, k), dtype=complex)
+        blocks[0] = np.eye(k) + spread * rng.standard_normal((k, k))
+        for j in range(1, m):
+            blocks[j] = 0.4 * decay**j * (rng.standard_normal((k, k)) + imag * rng.standard_normal((k, k)))
+        rhs = rng.standard_normal((m, k, 2))
+        got = hv.tri_toeplitz_solve(blocks, rhs)
+        assert got.shape == (m, k, 2)
         dense = np.zeros((m * k, m * k), dtype=complex)
         for j in range(m):
             for i in range(j, m):
                 dense[i * k : (i + 1) * k, j * k : (j + 1) * k] = blocks[i - j]
-        want = np.linalg.solve(dense, np.vstack(rhs))
-        assert np.max(np.abs(got - want)) <= 1e-11, (k, m)
-
-
-def test_tri_upper_vs_dense_lu(rng):
-    # (k, m, decay of the off-diagonal blocks); m = 257 crosses chunk boundaries
-    for k, m, decay in ((2, 5, 1.0), (3, 257, 0.7)):
-        blocks = [np.eye(k) + 0.2 * rng.standard_normal((k, k))]
-        blocks += [0.4 * decay**j * rng.standard_normal((k, k)) for j in range(1, m)]
-        rhs = [rng.standard_normal((k, 1)) for _ in range(m)]
-        got = np.vstack(hv.tri_toeplitz_solve(blocks, rhs, orientation="upper"))
-        dense = np.zeros((m * k, m * k), dtype=complex)
-        for j in range(m):
-            for i in range(m - j):
-                dense[i * k : (i + 1) * k, (i + j) * k : (i + j + 1) * k] = blocks[j]
-        want = np.linalg.solve(dense, np.vstack(rhs))
-        assert np.max(np.abs(got - want)) <= 1e-11, (k, m)
+        want = np.linalg.solve(dense, rhs.reshape(m * k, 2))
+        assert np.max(np.abs(got.reshape(m * k, 2) - want)) <= 1e-11, (k, m)
 
 
 def test_tri_long_scalar_vs_dense(rng):
@@ -79,15 +69,15 @@ def test_tri_long_scalar_vs_dense(rng):
     t[0] = 1.0
     t[1:] = 0.4 ** np.arange(1, m) * rng.standard_normal(m - 1)
     rhs = rng.standard_normal((m, 1))
-    got = np.vstack(hv.tri_toeplitz_solve(list(t), list(rhs)))
+    got = hv.tri_toeplitz_solve(t.reshape(m, 1, 1), rhs.reshape(m, 1, 1))
     dense = np.tril(t[np.subtract.outer(np.arange(m), np.arange(m))])
     want = np.linalg.solve(dense, rhs)
-    assert np.max(np.abs(got - want)) <= 1e-11
+    assert np.max(np.abs(got.reshape(m, 1) - want)) <= 1e-11
 
 
 def test_tri_singular_diagonal():
     with pytest.raises(SingularBlockError):
-        hv.tri_toeplitz_solve([np.zeros((2, 2))], [np.eye(2)])
+        hv.tri_toeplitz_solve(np.zeros((1, 2, 2)), np.eye(2)[None])
 
 
 def test_tri_scaling_certificate(rng):
@@ -207,6 +197,13 @@ def test_truncated_default_window_is_exact(p, q, m):
     # one block short of m+1 the window misses the degree-m data
     narrow = hv.solve_truncated(fx.data, n_blocks=m)
     assert narrow.details["tail_mass_uncertified"] > 0.0
+
+
+def test_truncated_refuses_empty_window(deg1_fixture):
+    # only None means the default window; 0 and below retain no block
+    for n_blocks in (0, -1):
+        with pytest.raises(ShapeError):
+            hv.solve_truncated(deg1_fixture.data, n_blocks=n_blocks)
 
 
 def corner_solve_data(p, q, m, norm, seed):
