@@ -63,6 +63,25 @@ def test_tri_block_vs_dense_lu(rng):
         assert np.max(np.abs(got.reshape(m * k, 2) - want)) <= 1e-11, (k, m)
 
 
+def test_tri_upper_vs_dense_lu(rng):
+    # the upper system with first block row t, read bottom to top, is the
+    # lower one with first block column t (the c-side reading); m = 257
+    # crosses chunk boundaries
+    for k, m, decay in ((2, 5, 1.0), (3, 257, 0.7)):
+        blocks = np.empty((m, k, k))
+        blocks[0] = np.eye(k) + 0.2 * rng.standard_normal((k, k))
+        for j in range(1, m):
+            blocks[j] = 0.4 * decay**j * rng.standard_normal((k, k))
+        rhs = rng.standard_normal((m, k, 1))
+        got = hv.tri_toeplitz_solve(blocks, rhs[::-1])[::-1]
+        dense = np.zeros((m * k, m * k), dtype=complex)
+        for j in range(m):
+            for i in range(m - j):
+                dense[i * k : (i + 1) * k, (i + j) * k : (i + j + 1) * k] = blocks[j]
+        want = np.linalg.solve(dense, rhs.reshape(m * k, 1))
+        assert np.max(np.abs(got.reshape(m * k, 1) - want)) <= 1e-11, (k, m)
+
+
 def test_tri_long_scalar_vs_dense(rng):
     m = 300
     t = np.zeros(m, dtype=complex)
