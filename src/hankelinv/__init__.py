@@ -12,32 +12,22 @@ from .series import (
     LaurentPoly,
     SubspaceTag,
     as_matrix,
-    lp_det_cofactor,
     lp_mul,
     poly_gap,
 )
-from .structured import (
-    OpKind,
-    build,
-    check_product_rules,
-    check_shift_relations,
-    margin_for,
-)
+from .structured import OpKind, build
 from .inversion import (
-    BigOp,
     DataSet,
     build_m,
     build_omega,
     check_lemma_suite,
     identity_residual_triple,
     inverse_margin,
-    trivial_data,
     verify_inverse,
 )
 from .diagnostics import (
     CheckEntry,
     CheckReport,
-    check_appendix_structure,
     check_identities,
     check_strict_contraction,
     check_zero_locations,
@@ -55,14 +45,12 @@ from .solver import (
     solve_truncated,
     tri_toeplitz_solve,
 )
-from .oracle import BruteRecovery, Fixture, brute_recover_g, random_fixture, synthesize_data
+from .oracle import Fixture, random_fixture, synthesize_data
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigOp",
-    "BruteRecovery",
     "CANONICAL_TOL",
     "CheckEntry",
     "CheckReport",
@@ -74,15 +62,11 @@ __all__ = [
     "SolveReport",
     "SubspaceTag",
     "as_matrix",
-    "brute_recover_g",
     "build",
     "build_m",
     "build_omega",
-    "check_appendix_structure",
     "check_identities",
     "check_lemma_suite",
-    "check_product_rules",
-    "check_shift_relations",
     "check_strict_contraction",
     "check_zero_locations",
     "errors",
@@ -90,9 +74,7 @@ __all__ = [
     "identity_residual_triple",
     "inclusion_residuals",
     "inverse_margin",
-    "lp_det_cofactor",
     "lp_mul",
-    "margin_for",
     "poly_gap",
     "random_fixture",
     "solve_all",
@@ -102,7 +84,6 @@ __all__ = [
     "solve_truncated",
     "synthesize_data",
     "tri_toeplitz_solve",
-    "trivial_data",
     "verify_inverse",
     "verify_solution",
 ]

@@ -99,6 +99,10 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.order is not None and args.method not in ("truncated", "all"):
+        _err(f"--order sets the window of the truncated route; --method {args.method} "
+             "has no window (only truncated and all read --order)")
+        return EXIT_PARSE
     data, _, _ = io_json.problem_from_json(io_json.read_json(args.data_file))
     try:
         if args.method == "all":
@@ -163,7 +167,7 @@ def cmd_invert(args) -> int:
     n = 4 * fx.data.m + 4 if args.order is None else args.order
     suite = check_lemma_suite(fx.data, n, tol=args.tol)
     margin = inverse_margin(fx.data, g, n)
-    inv = verify_inverse(build_omega(g, n), suite["m_alternate"], margin)
+    inv = verify_inverse(build_omega(g, n), suite["m_alternate"], g.rows, g.cols, margin)
     doc = {
         "window": n,
         "margin": margin,
@@ -213,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     so.add_argument(
         "--order", type=int, default=None,
-        help="window size N of the truncated route (default m+1, where it is exact)",
+        help="window size N of the truncated route (default m+1, where it is exact); "
+        "read by --method truncated and all only",
     )
     so.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     so.set_defaults(func=cmd_solve)

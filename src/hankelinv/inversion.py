@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeError, SingularCornerError
 from .series import LaurentPoly, SubspaceTag, as_matrix
-from .structured import OpKind, build, corner_slice
+from .structured import OpKind, build, corner_residual
 
 CORNER_COND_LIMIT = 1e12
 
@@ -93,47 +93,6 @@ class DataSet:
         return np.linalg.inv(self.a0), np.linalg.inv(self.d0)
 
 
-def trivial_data(p: int, q: int) -> DataSet:
-    """The data set {e_p, 0, 0, e_q} whose solution is g = 0."""
-    return DataSet(
-        alpha=LaurentPoly.identity(p),
-        beta=LaurentPoly.zero(p, q),
-        gamma=LaurentPoly.zero(q, p),
-        delta=LaurentPoly.identity(q),
-    )
-
-
-@dataclass
-class BigOp:
-    """A 2x2 block operator over the two windowed sequence spaces."""
-
-    p: int
-    q: int
-    n_blocks: int
-    pp: np.ndarray
-    pq: np.ndarray
-    qp: np.ndarray
-    qq: np.ndarray
-
-    def __post_init__(self):
-        N, p, q = self.n_blocks, self.p, self.q
-        expect = {
-            "pp": (N * p, N * p),
-            "pq": (N * p, N * q),
-            "qp": (N * q, N * p),
-            "qq": (N * q, N * q),
-        }
-        for name, shape in expect.items():
-            if getattr(self, name).shape != shape:
-                raise ShapeError(f"block {name} must be {shape}")
-
-    @property
-    def dense(self) -> np.ndarray:
-        top = np.hstack([self.pp, self.pq])
-        bottom = np.hstack([self.qp, self.qq])
-        return np.vstack([top, bottom])
-
-
 # -- column helpers ---------------------------------------------------------
 
 
@@ -169,31 +128,33 @@ def _plus_extent(sym: LaurentPoly) -> int:
     return 1 if sym.is_zero else max(sym.hi, 0) + 1
 
 
-def build_omega(g: LaurentPoly, n_blocks: int) -> BigOp:
-    """Window of [[I, H+(g)], [H-(g*), I]] for a plus symbol g."""
+def build_omega(g: LaurentPoly, n_blocks: int) -> np.ndarray:
+    """Window of [[I, H+(g)], [H-(g*), I]] for a plus symbol g, N(p+q) square."""
     if not g.in_subspace(SubspaceTag.PLUS):
         raise ShapeError("g must be supported on degrees >= 0")
     N = int(n_blocks)
-    p, q = g.rows, g.cols
+    n = N * g.rows
     hp = build(OpKind.HANKEL_PLUS, g, N)
-    return BigOp(
-        p=p,
-        q=q,
-        n_blocks=N,
-        pp=np.eye(N * p, dtype=complex),
-        pq=hp,
-        qp=hp.conj().T,
-        qq=np.eye(N * q, dtype=complex),
-    )
+    out = np.eye(N * (g.rows + g.cols), dtype=complex)
+    out[:n, n:] = hp
+    out[n:, :n] = hp.conj().T
+    return out
 
 
-def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> BigOp:
-    """Window of the inverse candidate M assembled from the data.
+def _window(p: int, q: int, n_blocks: int):
+    """An unfilled N(p+q)-square window and its four block views."""
+    n = n_blocks * p
+    out = np.empty((n_blocks * (p + q),) * 2, dtype=complex)
+    return out, (out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:])
+
+
+def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> np.ndarray:
+    """Window of the inverse candidate M assembled from the data, N(p+q) square.
 
     ``variant='primary'`` uses the defining products with explicit shift
     factors; ``variant='alternate'`` absorbs the shifts into the symbols.
     At any window wider than the symbol supports the two fills agree
-    entrywise.
+    entrywise.  Each block is written into one preallocated array.
     """
     if variant not in ("primary", "alternate"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -205,6 +166,7 @@ def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> BigOp:
     da = np.kron(np.eye(N), a0inv)
     dd = np.kron(np.eye(N), d0inv)
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    out, (m11, m12, m21, m22) = _window(p, q, N)
 
     tp_a = build(OpKind.TOEPLITZ_PLUS, al, N)
     tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
@@ -218,32 +180,23 @@ def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> BigOp:
         tm_g = build(OpKind.TOEPLITZ_MINUS, ga, N)
         hp_a = build(OpKind.HANKEL_PLUS, al, N)
         hm_d = build(OpKind.HANKEL_MINUS, de, N)
-        m11 = tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T
-        m21 = hm_g @ da @ tp_a.conj().T - sm_q.conj().T @ hm_d @ dd @ tp_b.conj().T @ sp_p.conj().T
-        m12 = hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T
-        m22 = tm_d @ dd @ tm_d.conj().T - sm_q @ tm_g @ da @ tm_g.conj().T @ sm_q.conj().T
+        m11[:] = tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T
+        m21[:] = hm_g @ da @ tp_a.conj().T - sm_q.conj().T @ hm_d @ dd @ tp_b.conj().T @ sp_p.conj().T
+        m12[:] = hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T
+        m22[:] = tm_d @ dd @ tm_d.conj().T - sm_q @ tm_g @ da @ tm_g.conj().T @ sm_q.conj().T
     else:
         tp_lb = build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
         tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
         hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
         hm_ld = build(OpKind.HANKEL_MINUS, de.shifted(1), N)
-        m11 = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
-        m21 = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
-        m12 = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
-        m22 = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
-
-    return BigOp(
-        p=p,
-        q=q,
-        n_blocks=N,
-        pp=m11,
-        pq=m12,
-        qp=m21,
-        qq=m22,
-    )
+        m11[:] = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
+        m21[:] = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
+        m12[:] = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
+        m22[:] = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
+    return out
 
 
-def _build_m_hankel(data: DataSet, n_blocks: int) -> BigOp:
+def _build_m_hankel(data: DataSet, n_blocks: int) -> np.ndarray:
     """The Hankel-product form of M (used as a cross-check)."""
     N = int(n_blocks)
     p, q = data.p, data.q
@@ -251,6 +204,7 @@ def _build_m_hankel(data: DataSet, n_blocks: int) -> BigOp:
     da = np.kron(np.eye(N), a0inv)
     dd = np.kron(np.eye(N), d0inv)
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    out, (m11, m12, m21, m22) = _window(p, q, N)
 
     hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
     hp_b = build(OpKind.HANKEL_PLUS, be, N)
@@ -261,19 +215,11 @@ def _build_m_hankel(data: DataSet, n_blocks: int) -> BigOp:
     tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
     tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
 
-    m11 = np.eye(N * p) - hp_la @ da @ hp_la.conj().T + hp_b @ dd @ hp_b.conj().T
-    m21 = tm_d @ dd @ hp_b.conj().T - tm_lg @ da @ hp_la.conj().T
-    m12 = tp_a @ da @ hm_g.conj().T - tp_lb @ dd @ hm_ld.conj().T
-    m22 = np.eye(N * q) - hm_ld @ dd @ hm_ld.conj().T + hm_g @ da @ hm_g.conj().T
-    return BigOp(
-        p=p,
-        q=q,
-        n_blocks=N,
-        pp=m11,
-        pq=m12,
-        qp=m21,
-        qq=m22,
-    )
+    m11[:] = np.eye(N * p) - hp_la @ da @ hp_la.conj().T + hp_b @ dd @ hp_b.conj().T
+    m21[:] = tm_d @ dd @ hp_b.conj().T - tm_lg @ da @ hp_la.conj().T
+    m12[:] = tp_a @ da @ hm_g.conj().T - tp_lb @ dd @ hm_ld.conj().T
+    m22[:] = np.eye(N * q) - hm_ld @ dd @ hm_ld.conj().T + hm_g @ da @ hm_g.conj().T
+    return out
 
 
 def inverse_margin(data: DataSet, g: LaurentPoly, n_blocks: int) -> int:
@@ -281,34 +227,20 @@ def inverse_margin(data: DataSet, g: LaurentPoly, n_blocks: int) -> int:
     return max(0, n_blocks - (2 * data.extent() + _plus_extent(g)))
 
 
-def _block_residual(diff, p, q, n_blocks, margin):
-    """Max abs of a 2x2 block window matrix on the anchored margin corners."""
-    N = n_blocks
-    rows_p = corner_slice("plus", N, margin, p)
-    rows_q = corner_slice("minus", N, margin, q)
-    cols_p = corner_slice("plus", N, margin, p)
-    cols_q = corner_slice("minus", N, margin, q)
-    np_, nq = N * p, N * q
-    pieces = [
-        diff[:np_, :np_][rows_p, cols_p],
-        diff[:np_, np_:][rows_p, cols_q],
-        diff[np_:, :np_][rows_q, cols_p],
-        diff[np_:, np_:][rows_q, cols_q],
-    ]
-    vals = [float(np.max(np.abs(x))) for x in pieces if x.size]
-    return max(vals) if vals else float("nan")
+def verify_inverse(omega: np.ndarray, m: np.ndarray, p: int, q: int, margin: int) -> dict:
+    """Residuals of M Omega = I and Omega M = I on the margin corners.
 
-
-def verify_inverse(omega: BigOp, m: BigOp, margin: int) -> dict:
-    """Residuals of M Omega = I and Omega M = I on the margin corners."""
-    if (omega.p, omega.q, omega.n_blocks) != (m.p, m.q, m.n_blocks):
-        raise ShapeError("window shapes of omega and m do not match")
-    N, p, q = omega.n_blocks, omega.p, omega.q
-    eye = np.eye(N * (p + q))
-    om, mm = omega.dense, m.dense
+    ``omega`` and ``m`` are N(p+q)-square windows of p + q block rows.
+    """
+    dim = omega.shape[0]
+    if omega.shape != (dim, dim) or m.shape != omega.shape or dim % (p + q):
+        raise ShapeError("omega and m must be matching N(p+q)-square windows")
+    N = dim // (p + q)
+    spaces = [("plus", p), ("minus", q)]
+    eye = np.eye(dim)
     return {
-        "m_omega": _block_residual(mm @ om - eye, p, q, N, margin),
-        "omega_m": _block_residual(om @ mm - eye, p, q, N, margin),
+        "m_omega": corner_residual(m @ omega - eye, spaces, spaces, N, margin),
+        "omega_m": corner_residual(omega @ m - eye, spaces, spaces, N, margin),
         "margin": margin,
         "inconclusive": margin <= 0,
     }
@@ -319,20 +251,6 @@ def verify_inverse(omega: BigOp, m: BigOp, margin: int) -> dict:
 
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if x.size else float("nan")
-
-
-def _stacked_corner_indices(spaces, n_blocks, margin):
-    """Absolute row/col indices of the margin corners in a stacked window.
-
-    ``spaces`` lists (space, block_dim) in stacking order.
-    """
-    idx = []
-    offset = 0
-    for space, blk in spaces:
-        s = corner_slice(space, n_blocks, margin, blk)
-        idx.append(np.arange(offset + s.start, offset + s.stop))
-        offset += n_blocks * blk
-    return np.concatenate(idx) if idx else np.array([], dtype=int)
 
 
 def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
@@ -356,11 +274,14 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     id_res = identity_residual_triple(data)
     precondition_ok = max(id_res) <= tol
 
-    m_alt = build_m(data, N, "alternate")
-    m_pri = build_m(data, N, "primary")
-    m_hk = _build_m_hankel(data, N)
+    mm = build_m(data, N, "alternate")
+    n = N * p
+    m11, m12, m21, m22 = mm[:n, :n], mm[:n, n:], mm[n:, :n], mm[n:, n:]
 
     margin_pair = max(0, N - 2 * data.extent())
+
+    def res(diff, rows, cols):
+        return corner_residual(diff, rows, cols, N, margin_pair)
 
     # Exchange identities: T+(rho*) H+(...) = H+(...) T-(...) in block form.
     tp_as = build(OpKind.TOEPLITZ_PLUS, al.adjoint(), N)
@@ -372,17 +293,13 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
     tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
 
-    def pm_res(lhs, rhs, br, bc):
-        rs = corner_slice("plus", N, margin_pair, br)
-        cs = corner_slice("minus", N, margin_pair, bc)
-        d = (lhs - rhs)[rs, cs]
-        return _maxabs(d)
-
+    plus_p, plus_q = [("plus", p)], [("plus", q)]
+    minus_p, minus_q = [("minus", p)], [("minus", q)]
     thht = {
-        "thht_aa": pm_res(tp_as @ hp_la, hp_gs @ tm_lg, p, p),
-        "thht_ab": pm_res(tp_as @ hp_b, hp_gs @ tm_d, p, q),
-        "thht_ba": pm_res(tp_lbs @ hp_la, hp_lds @ tm_lg, q, p),
-        "thht_bb": pm_res(tp_lbs @ hp_b, hp_lds @ tm_d, q, q),
+        "thht_aa": res(tp_as @ hp_la - hp_gs @ tm_lg, plus_p, minus_p),
+        "thht_ab": res(tp_as @ hp_b - hp_gs @ tm_d, plus_p, minus_q),
+        "thht_ba": res(tp_lbs @ hp_la - hp_lds @ tm_lg, plus_q, minus_p),
+        "thht_bb": res(tp_lbs @ hp_b - hp_lds @ tm_d, plus_q, minus_q),
     }
 
     # Shifted variant of the exchange identity (one extra backward shift).
@@ -390,61 +307,41 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     sm_q = build(OpKind.SHIFT_MINUS, q, N)
     lhs_shift = np.vstack([tp_as, tp_lbs]) @ sp_p.conj().T @ np.hstack([hp_la, hp_b])
     rhs_shift = np.vstack([hp_gs, hp_lds]) @ sm_q @ np.hstack([tm_lg, tm_d])
-    rs = _stacked_corner_indices([("plus", p), ("plus", q)], N, margin_pair)
-    cs = _stacked_corner_indices([("minus", p), ("minus", q)], N, margin_pair)
-    if rs.size and cs.size:
-        thht_shifted = _maxabs((lhs_shift - rhs_shift)[np.ix_(rs, cs)])
-    else:
-        thht_shifted = float("nan")
+    thht_shifted = res(lhs_shift - rhs_shift, plus_p + plus_q, minus_p + minus_q)
 
     # Unit-column identities: M maps the unit columns to the data columns.
     units = {
-        "units_a": _maxabs(m_alt.pp @ plus_unit_column(p, N) - plus_coeff_column(al, N)),
-        "units_b": _maxabs(m_alt.pq @ minus_unit_column(q, N) - plus_coeff_column(be, N)),
-        "units_c": _maxabs(m_alt.qp @ plus_unit_column(p, N) - minus_coeff_column(ga, N)),
-        "units_d": _maxabs(m_alt.qq @ minus_unit_column(q, N) - minus_coeff_column(de, N)),
+        "units_a": _maxabs(m11 @ plus_unit_column(p, N) - plus_coeff_column(al, N)),
+        "units_b": _maxabs(m12 @ minus_unit_column(q, N) - plus_coeff_column(be, N)),
+        "units_c": _maxabs(m21 @ plus_unit_column(p, N) - minus_coeff_column(ga, N)),
+        "units_d": _maxabs(m22 @ minus_unit_column(q, N) - minus_coeff_column(de, N)),
     }
 
     # Selfadjointness and agreement between the assembly routes.
+    spaces = plus_p + minus_q
     structure = {
-        "adjoint_m12_m21": _maxabs(m_alt.pq.conj().T - m_alt.qp),
-        "m11_hermitian": _maxabs(m_alt.pp.conj().T - m_alt.pp),
-        "m22_hermitian": _maxabs(m_alt.qq.conj().T - m_alt.qq),
-        "variant_agreement": _maxabs(m_pri.dense - m_alt.dense),
-        "hankel_form_agreement": _block_residual(
-            m_hk.dense - m_alt.dense, p, q, N, margin_pair
-        ),
+        "adjoint_m12_m21": _maxabs(m12.conj().T - m21),
+        "m11_hermitian": _maxabs(m11.conj().T - m11),
+        "m22_hermitian": _maxabs(m22.conj().T - m22),
+        "variant_agreement": _maxabs(build_m(data, N, "primary") - mm),
+        "hankel_form_agreement": res(_build_m_hankel(data, N) - mm, spaces, spaces),
     }
 
-    # J-congruence and the shift intertwining.
-    mm = m_alt.dense
-    jj = np.block(
-        [
-            [np.eye(N * p), np.zeros((N * p, N * q))],
-            [np.zeros((N * q, N * p)), -np.eye(N * q)],
-        ]
-    )
-    target = np.block(
-        [
-            [m_alt.pp, np.zeros((N * p, N * q))],
-            [np.zeros((N * q, N * p)), -m_alt.qq],
-        ]
-    )
-    j_res = _block_residual(mm @ jj @ mm - target, p, q, N, margin_pair)
-    inter = m_alt.pp @ sp_p.conj().T @ m_alt.pq - m_alt.pq @ sm_q @ m_alt.qq
-    rs2 = corner_slice("plus", N, margin_pair, p)
-    cs2 = corner_slice("minus", N, margin_pair, q)
-    inter_res = _maxabs(inter[rs2, cs2])
+    # J-congruence with J = diag(I, -I), and the shift intertwining.
+    mjm = (mm * np.repeat([1.0, -1.0], [n, N * q])) @ mm
+    mjm[:n, :n] -= m11
+    mjm[n:, n:] += m22
+    inter = m11 @ sp_p.conj().T @ m12 - m12 @ sm_q @ m22
 
     out = {
         "precondition_identities": max(id_res),
         "precondition_ok": precondition_ok,
         "margin": margin_pair,
         "inconclusive": margin_pair == 0,
-        "j_congruence": j_res,
-        "intertwine": inter_res,
+        "j_congruence": res(mjm, spaces, spaces),
+        "intertwine": res(inter, plus_p, minus_q),
         "thht_shifted": thht_shifted,
-        "m_alternate": m_alt,
+        "m_alternate": mm,
     }
     out.update(thht)
     out.update(units)

@@ -60,8 +60,7 @@ class SubspaceTag(enum.Enum):
     """Support classes of Laurent series on the circle.
 
     ``PLUS`` keeps degrees >= 0, ``MINUS`` degrees <= 0, the ``*_ZERO``
-    variants exclude degree 0, ``DIAG`` keeps only degree 0 and ``FULL``
-    keeps everything.
+    variants exclude degree 0 and ``FULL`` keeps everything.
     """
 
     FULL = "full"
@@ -69,7 +68,6 @@ class SubspaceTag(enum.Enum):
     MINUS = "minus"
     PLUS_ZERO = "plus_zero"
     MINUS_ZERO = "minus_zero"
-    DIAG = "diag"
 
 
 # inclusive degree range of each tag; None leaves that side open
@@ -79,7 +77,6 @@ _BOUNDS = {
     SubspaceTag.MINUS: (None, 0),
     SubspaceTag.PLUS_ZERO: (1, None),
     SubspaceTag.MINUS_ZERO: (None, -1),
-    SubspaceTag.DIAG: (0, 0),
 }
 
 
@@ -413,30 +410,6 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         for j, b in enumerate(B):
             out[j : j + len(A)] += product(A, b)
     return LaurentPoly._make(rows, cols, f._lo + g._lo, out)
-
-
-def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:
-    """Determinant by Laplace expansion; cross-check path for small sizes."""
-    if f.rows != f.cols:
-        raise ShapeError("determinant requires a square symbol")
-    n = f.rows
-    if n == 1:
-        return f
-
-    def entry(i, j):
-        return LaurentPoly._make(1, 1, f._lo, f._arr[:, i : i + 1, j : j + 1].copy())
-
-    def minor(rows, cols):
-        if len(rows) == 1:
-            return entry(rows[0], cols[0])
-        acc = LaurentPoly.zero(1, 1)
-        for t, j in enumerate(cols):
-            sub = minor(rows[1:], cols[:t] + cols[t + 1 :])
-            acc = acc + (-1) ** t * lp_mul(entry(rows[0], j), sub)
-        return acc
-
-    idx = tuple(range(n))
-    return minor(idx, idx)
 
 
 def poly_gap(f: LaurentPoly, g: LaurentPoly) -> float:

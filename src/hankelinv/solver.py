@@ -203,11 +203,6 @@ def _b_side_blocks(data: DataSet):
     return -np.einsum("kpqs,sqr->kpr", win, e)
 
 
-def _b_side_g(data: DataSet) -> LaurentPoly:
-    """The b-side coefficients as a symbol."""
-    return LaurentPoly.from_run(0, _b_side_blocks(data))
-
-
 def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     """Closed-form coefficients of g for polynomial data of degree <= m.
 
@@ -286,7 +281,8 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     p, q = data.p, data.q
 
     big = build_m(data, N, "alternate")
-    m11, m12, m22 = big.pp, big.pq, big.qq
+    n = N * p
+    m11, m12, m22 = big[:n, :n], big[:n, n:], big[n:, n:]
     s11 = float(np.linalg.svd(m11, compute_uv=False)[-1])
     s22 = float(np.linalg.svd(m22, compute_uv=False)[-1])
     for name, sval, dim in (("M11", s11, N * p), ("M22", s22, N * q)):
@@ -357,7 +353,7 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     if verdict_a == "pass":
         g1 = LaurentPoly.from_run(0, _c_side_blocks(data))
     if verdict_d == "pass":
-        g2 = _b_side_g(data)
+        g2 = LaurentPoly.from_run(0, _b_side_blocks(data))
 
     if g1 is None and g2 is None:
         raise FactorizationUnavailableError(
@@ -397,7 +393,7 @@ def solve_dual_phi(data: DataSet, tol: float = DEFAULT_TOL) -> LaurentPoly:
             residuals=res,
             worst="identity_d",
         )
-    return _b_side_g(data).adjoint()
+    return LaurentPoly.from_run(0, _b_side_blocks(data)).adjoint()
 
 
 # -- method aggregation --------------------------------------------------------

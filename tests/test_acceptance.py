@@ -15,6 +15,7 @@ import hankelinv as hv
 from hankelinv import DataSet, LaurentPoly, cli, io_json
 
 from conftest import corner_oracle
+from support import check_appendix_structure
 
 ROUND_TRIP_TOL = 1e-8
 METHOD_GAP_TOL = 1e-8
@@ -94,7 +95,7 @@ def test_criterion_3_inversion(population):
         m_op = hv.build_m(fx.data, N)
         margin = hv.inverse_margin(fx.data, fx.g, N)
         assert margin > 0
-        rep = hv.verify_inverse(omega, m_op, margin)
+        rep = hv.verify_inverse(omega, m_op, fx.data.p, fx.data.q, margin)
         worst = max(worst, rep["m_omega"], rep["omega_m"])
     ok = worst <= INVERSE_TOL
     report_line(3, "inversion identity", ok, f"max_residual={worst:.2e}")
@@ -203,7 +204,7 @@ def test_criterion_7_contraction_conditions(population):
         if hv.hankel_norm(fx.g) > CONTRACTION_CUTOFF:
             continue
         rep = hv.check_strict_contraction(fx.data, fx.g)
-        app = hv.check_appendix_structure(fx.data, fx.g, 4 * fx.data.m + 4)
+        app = check_appendix_structure(fx.data, fx.g, 4 * fx.data.m + 4)
         omega_ok = app.entry("omega_positivity_link").verdict == "pass"
         omega1_ok = app.entry("omega1_positive_under_contraction").verdict == "pass"
         if not (rep.passed and omega_ok and omega1_ok):

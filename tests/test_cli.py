@@ -12,6 +12,8 @@ import pytest
 import hankelinv as hv
 from hankelinv import LaurentPoly, cli, inversion, io_json
 
+from support import trivial_data
+
 
 @pytest.fixture()
 def g_file(tmp_path):
@@ -117,7 +119,7 @@ def test_solve_missing_file(tmp_path):
 
 def test_check_trivial(tmp_path):
     path = tmp_path / "triv.json"
-    io_json.write_json(path, io_json.problem_to_json(hv.trivial_data(1, 1)))
+    io_json.write_json(path, io_json.problem_to_json(trivial_data(1, 1)))
     assert cli.main(["check", str(path)]) == 0
 
 
@@ -150,6 +152,19 @@ def test_nonpositive_order_refused(problem_file, g_file, capsys, command, order)
     captured = capsys.readouterr()
     assert "--order" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", ["poly", "factorization"])
+def test_order_refused_without_window(problem_file, capsys, method):
+    # only the truncated route has a window; an ignored --order is an error
+    argv = ["solve", problem_file, "--method", method]
+    assert cli.main(argv + ["--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "--order" in captured.err and "truncated" in captured.err
+    assert captured.out == ""
+    assert cli.main(argv) == 0
+    for windowed in ("truncated", "all"):
+        assert cli.main(["solve", problem_file, "--method", windowed, "--order", "3"]) == 0
 
 
 def test_invert_emits_strict_json(tmp_path, capsys):

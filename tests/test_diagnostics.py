@@ -8,13 +8,14 @@ from hankelinv import DataSet, LaurentPoly
 from hankelinv.errors import DegenerateError
 
 from conftest import random_poly
+from support import check_appendix_structure, trivial_data
 
 
 # -- check_identities -----------------------------------------------------------
 
 
 def test_identities_trivial():
-    rep = hv.check_identities(hv.trivial_data(2, 3))
+    rep = hv.check_identities(trivial_data(2, 3))
     assert rep.passed
     assert all(e.value == 0.0 for e in rep.entries)
 
@@ -41,7 +42,7 @@ def test_identities_perturbed_a0_isolated(deg1_fixture):
 
 
 def test_zeros_identity_passes():
-    rep = hv.check_zero_locations(hv.trivial_data(2, 2))
+    rep = hv.check_zero_locations(trivial_data(2, 2))
     assert rep.passed
     # a constant determinant has no zero: no recursion step lowers the margin from 1
     assert rep.entry("alpha_det_zeros").value == -1.0
@@ -128,7 +129,7 @@ def test_hankel_norm_homogeneous(rng):
 
 
 def test_contraction_trivial():
-    rep = hv.check_strict_contraction(hv.trivial_data(1, 2))
+    rep = hv.check_strict_contraction(trivial_data(1, 2))
     assert rep.passed
     assert rep.entry("hankel_norm").value == 0.0
 
@@ -163,7 +164,7 @@ def test_contraction_solves_when_g_missing(deg0_fixture):
 
 
 def test_verify_trivial():
-    rep = hv.verify_solution(hv.trivial_data(2, 1), LaurentPoly.zero(2, 1))
+    rep = hv.verify_solution(trivial_data(2, 1), LaurentPoly.zero(2, 1))
     assert all(e.value == 0.0 for e in rep.entries)
 
 
@@ -191,20 +192,20 @@ def test_verify_monotone_at_truth(deg0_fixture, rng):
 
 
 def test_appendix_zero_symbol():
-    data = hv.trivial_data(2, 2)
-    rep = hv.check_appendix_structure(data, LaurentPoly.zero(2, 2), 4)
+    data = trivial_data(2, 2)
+    rep = check_appendix_structure(data, LaurentPoly.zero(2, 2), 4)
     assert rep.entry("schur_a0").value <= 1e-13
     assert rep.entry("schur_d0").value <= 1e-13
 
 
 def test_appendix_deg0(deg0_fixture):
-    rep = hv.check_appendix_structure(deg0_fixture.data, deg0_fixture.g, 6)
+    rep = check_appendix_structure(deg0_fixture.data, deg0_fixture.g, 6)
     assert rep.entry("schur_a0").value <= 1e-12
     assert rep.entry("schur_d0").value <= 1e-12
 
 
 def test_appendix_deg1(deg1_fixture):
-    rep = hv.check_appendix_structure(deg1_fixture.data, deg1_fixture.g, 8)
+    rep = check_appendix_structure(deg1_fixture.data, deg1_fixture.g, 8)
     assert rep.entry("congruence_first").value <= 1e-11
     assert rep.entry("congruence_last").value <= 1e-11
     assert rep.entry("omega_positivity_link").value <= 1e-11
@@ -213,14 +214,14 @@ def test_appendix_deg1(deg1_fixture):
 
 def test_appendix_schur_extracts_corners():
     fx = hv.random_fixture(p=2, q=3, m=3, target_norm=0.9, rng_seed=71)
-    rep = hv.check_appendix_structure(fx.data, fx.g, 4 * fx.data.m + 4)
+    rep = check_appendix_structure(fx.data, fx.g, 4 * fx.data.m + 4)
     assert rep.entry("schur_a0").value <= 1e-10
     assert rep.entry("schur_d0").value <= 1e-10
 
 
 def test_appendix_inconclusive_window(deg1_fixture):
     # a single-block window cannot hold the degree-1 corner
-    rep = hv.check_appendix_structure(deg1_fixture.data, deg1_fixture.g, 1)
+    rep = check_appendix_structure(deg1_fixture.data, deg1_fixture.g, 1)
     assert rep.entry("schur_a0").verdict == "inconclusive"
 
 
@@ -232,3 +233,18 @@ def test_synthesized_data_consistent(seed):
     fx = hv.random_fixture(p=2, q=2, m=4, target_norm=0.6, rng_seed=100 + seed)
     assert hv.check_identities(fx.data).passed
     assert hv.verify_solution(fx.data, fx.g).passed
+
+
+@pytest.mark.parametrize("p, q, m", [(1, 1, 4), (2, 1, 3), (3, 3, 16), (1, 2, 0)])
+def test_shifted_corner_cannot_fail(p, q, m):
+    # the corner of (g / z)_+ is H with its first block row removed and a
+    # zero row appended, so its norm is at most ||H|| and the positivity
+    # of Omega_1 = [[I, C], [C*, I]] adds nothing to hankel_norm < 1
+    fx = hv.random_fixture(p=p, q=q, m=m, target_norm=0.9, rng_seed=3)
+    n = m + 1
+    corner = hv.build(hv.OpKind.HANKEL_PLUS, fx.g, n)
+    shifted = hv.build(hv.OpKind.HANKEL_PLUS, fx.g.shifted(-1).project(hv.SubspaceTag.PLUS), n)
+    assert np.array_equal(shifted, np.vstack([corner[p:], np.zeros((p, n * q))]))
+    rep = hv.check_strict_contraction(fx.data, fx.g)
+    assert [e.name for e in rep.entries][-1] == "hankel_norm"
+    assert "omega1_positive" not in rep.values()

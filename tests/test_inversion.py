@@ -8,6 +8,7 @@ from hankelinv import DataSet, LaurentPoly
 from hankelinv.errors import ShapeError, SingularCornerError
 
 from conftest import random_poly
+from support import trivial_data
 
 
 # -- DataSet ------------------------------------------------------------------
@@ -47,33 +48,33 @@ def test_dataset_singular_corner():
 
 def test_omega_zero_symbol():
     om = hv.build_omega(LaurentPoly.zero(2, 1), 3)
-    assert np.allclose(om.dense, np.eye(9))
+    assert np.allclose(om, np.eye(9))
 
 
 def test_omega_constant_corner(deg0_fixture):
     om = hv.build_omega(deg0_fixture.g, 2)
-    assert abs(om.pq[0, 1] - 0.5) < 1e-15
-    assert np.count_nonzero(np.abs(om.pq) > 0) == 1
+    assert abs(om[:2, 2:][0, 1] - 0.5) < 1e-15
+    assert np.count_nonzero(np.abs(om[:2, 2:]) > 0) == 1
 
 
 def test_omega_shifted_layout(deg1_fixture):
     om = hv.build_omega(deg1_fixture.g, 2)
-    assert np.allclose(om.pq, 0.5 * np.eye(2))
+    assert np.allclose(om[:2, 2:], 0.5 * np.eye(2))
 
 
 # -- M assembly -----------------------------------------------------------------
 
 
 def test_m_trivial_data_is_identity():
-    tv = hv.trivial_data(2, 1)
+    tv = trivial_data(2, 1)
     m = hv.build_m(tv, 4)
-    assert np.allclose(m.dense, np.eye(12))
+    assert np.allclose(m, np.eye(12))
 
 
 def test_m11_deg0_diagonal(deg0_fixture):
     m = hv.build_m(deg0_fixture.data, 5)
     expect = np.diag([4.0 / 3.0] + [1.0] * 4)
-    assert np.max(np.abs(m.pp - expect)) < 1e-13
+    assert np.max(np.abs(m[:5, :5] - expect)) < 1e-13
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -82,7 +83,7 @@ def test_variants_agree(seed):
     N = 4 * fx.data.m + 4
     m_alt = hv.build_m(fx.data, N, "alternate")
     m_pri = hv.build_m(fx.data, N, "primary")
-    assert np.max(np.abs(m_alt.dense - m_pri.dense)) <= 1e-12
+    assert np.max(np.abs(m_alt - m_pri)) <= 1e-12
 
 
 def test_m_hermitian_blocks_for_hermitian_corners(rng):
@@ -98,18 +99,19 @@ def test_m_hermitian_blocks_for_hermitian_corners(rng):
     data = DataSet(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
     for variant in ("primary", "alternate"):
         m = hv.build_m(data, 6, variant)
-        assert np.max(np.abs(m.pp - m.pp.conj().T)) < 1e-12
-        assert np.max(np.abs(m.qq - m.qq.conj().T)) < 1e-12
+        m11, m22 = m[:12, :12], m[12:, 12:]
+        assert np.max(np.abs(m11 - m11.conj().T)) < 1e-12
+        assert np.max(np.abs(m22 - m22.conj().T)) < 1e-12
 
 
 # -- inversion ------------------------------------------------------------------
 
 
 def test_verify_inverse_trivial():
-    tv = hv.trivial_data(1, 2)
+    tv = trivial_data(1, 2)
     om = hv.build_omega(LaurentPoly.zero(1, 2), 4)
     m = hv.build_m(tv, 4)
-    rep = hv.verify_inverse(om, m, margin=2)
+    rep = hv.verify_inverse(om, m, 1, 2, margin=2)
     assert rep["m_omega"] < 1e-15
     assert rep["omega_m"] < 1e-15
 
@@ -119,7 +121,7 @@ def test_verify_inverse_deg0(deg0_fixture):
     om = hv.build_omega(deg0_fixture.g, N)
     m = hv.build_m(deg0_fixture.data, N)
     margin = hv.inverse_margin(deg0_fixture.data, deg0_fixture.g, N)
-    rep = hv.verify_inverse(om, m, margin)
+    rep = hv.verify_inverse(om, m, 1, 1, margin)
     assert margin > 0
     assert max(rep["m_omega"], rep["omega_m"]) <= 1e-12
 
@@ -129,7 +131,7 @@ def test_verify_inverse_deg1(deg1_fixture):
     om = hv.build_omega(deg1_fixture.g, N)
     m = hv.build_m(deg1_fixture.data, N)
     margin = hv.inverse_margin(deg1_fixture.data, deg1_fixture.g, N)
-    rep = hv.verify_inverse(om, m, margin)
+    rep = hv.verify_inverse(om, m, 1, 1, margin)
     assert max(rep["m_omega"], rep["omega_m"]) <= 1e-12
 
 
@@ -140,7 +142,7 @@ def test_verify_inverse_margin_growth():
         om = hv.build_omega(fx.g, N)
         m = hv.build_m(fx.data, N)
         margin = hv.inverse_margin(fx.data, fx.g, N)
-        rep = hv.verify_inverse(om, m, margin)
+        rep = hv.verify_inverse(om, m, 2, 1, margin)
         res.append(max(rep["m_omega"], rep["omega_m"]))
     assert res[1] <= res[0] + 1e-13
 
@@ -148,7 +150,7 @@ def test_verify_inverse_margin_growth():
 def test_verify_inverse_inconclusive_margin(deg0_fixture):
     om = hv.build_omega(deg0_fixture.g, 2)
     m = hv.build_m(deg0_fixture.data, 2)
-    rep = hv.verify_inverse(om, m, margin=0)
+    rep = hv.verify_inverse(om, m, 1, 1, margin=0)
     assert rep["inconclusive"]
 
 
@@ -156,7 +158,7 @@ def test_verify_inverse_inconclusive_margin(deg0_fixture):
 
 
 def test_lemma_suite_trivial():
-    suite = hv.check_lemma_suite(hv.trivial_data(2, 2), 5)
+    suite = hv.check_lemma_suite(trivial_data(2, 2), 5)
     numeric = [v for v in suite.values() if isinstance(v, float)]
     assert max(numeric) < 1e-14
     assert suite["precondition_ok"]

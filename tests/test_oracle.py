@@ -7,6 +7,7 @@ from hankelinv import LaurentPoly
 from hankelinv.errors import SynthesisError
 
 from conftest import corner_oracle
+from support import brute_recover_g, trivial_data
 
 
 # -- synthesize_data ------------------------------------------------------------
@@ -63,20 +64,20 @@ def test_synthesize_degree_bound():
 
 
 def test_brute_trivial():
-    out = hv.brute_recover_g(hv.trivial_data(2, 1))
+    out = brute_recover_g(trivial_data(2, 1))
     assert out.g.is_zero
     assert out.hankel_defect == 0.0
 
 
 def test_brute_deg0(deg0_fixture):
-    out = hv.brute_recover_g(deg0_fixture.data)
+    out = brute_recover_g(deg0_fixture.data)
     assert abs(out.g.coeff(0)[0, 0] - 0.5) < 1e-12
     assert out.hankel_defect <= 1e-12
     assert not out.under_determined
 
 
 def test_brute_deg1(deg1_fixture):
-    out = hv.brute_recover_g(deg1_fixture.data)
+    out = brute_recover_g(deg1_fixture.data)
     assert hv.poly_gap(out.g, deg1_fixture.g) <= 1e-12
     assert out.hankel_defect <= 1e-12
     assert not out.under_determined
@@ -86,7 +87,7 @@ def test_brute_deg1(deg1_fixture):
 def test_brute_agrees_when_determined():
     # the corner equations determine every block only at small degree
     fx = hv.random_fixture(p=1, q=2, m=2, target_norm=0.6, rng_seed=13)
-    out = hv.brute_recover_g(fx.data)
+    out = brute_recover_g(fx.data)
     assert not out.under_determined
     assert hv.poly_gap(out.g, fx.g) <= 1e-9
     assert out.hankel_defect <= 1e-10
@@ -95,7 +96,7 @@ def test_brute_agrees_when_determined():
 
 def test_brute_flags_underdetermined():
     fx = hv.random_fixture(p=1, q=1, m=5, target_norm=0.6, rng_seed=13)
-    out = hv.brute_recover_g(fx.data)
+    out = brute_recover_g(fx.data)
     assert out.under_determined
     assert out.rank < out.unknowns
 

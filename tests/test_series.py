@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hankelinv as hv
-from hankelinv import LaurentPoly, SubspaceTag, lp_det_cofactor
+from hankelinv import LaurentPoly, SubspaceTag
 from hankelinv.errors import EvaluationError, ShapeError
 
 from conftest import random_poly
+from support import lp_det_cofactor
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 

@@ -6,9 +6,14 @@ import pytest
 import hankelinv as hv
 from hankelinv import LaurentPoly, OpKind
 from hankelinv.errors import ShapeError
-from hankelinv.structured import hankel_shift_intertwine_residuals
 
 from conftest import random_poly
+from support import (
+    check_product_rules,
+    check_shift_relations,
+    hankel_shift_intertwine_residuals,
+    margin_for,
+)
 
 
 # -- build --------------------------------------------------------------------
@@ -50,7 +55,7 @@ def test_build_margin_flags():
     sym = LaurentPoly(1, 1, {k: [[1.0]] for k in range(5)})
     dense = hv.build(OpKind.TOEPLITZ_PLUS, sym, 3)
     assert np.array_equal(dense, np.tril(np.ones((3, 3))))
-    assert hv.margin_for(3, sym) == 0
+    assert margin_for(3, sym) == 0
 
 
 def _loop_fill(kind, symbol, N):
@@ -139,14 +144,14 @@ def test_apply_omega_columns(deg0_fixture):
 def test_product_rules_constants(rng):
     rho = LaurentPoly.constant(rng.standard_normal((2, 2)))
     phi = LaurentPoly.constant(rng.standard_normal((2, 2)))
-    rep = hv.check_product_rules(rho, phi, 5)
+    rep = check_product_rules(rho, phi, 5)
     assert all(v < 1e-14 for v in rep["residuals"].values())
 
 
 def test_product_rules_plus_symbols(rng):
     rho = random_poly(rng, 2, 2, (0, 1, 2))
     phi = random_poly(rng, 2, 1, (0, 2))
-    rep = hv.check_product_rules(rho, phi, 8)
+    rep = check_product_rules(rho, phi, 8)
     assert rep["margin"] > 0
     assert all(v <= 1e-12 for v in rep["residuals"].values())
 
@@ -154,7 +159,7 @@ def test_product_rules_plus_symbols(rng):
 def test_product_rules_two_sided(rng):
     rho = random_poly(rng, 2, 2, (-2, 0, 1))
     phi = random_poly(rng, 2, 2, (-1, 1, 2))
-    rep = hv.check_product_rules(rho, phi, 12)
+    rep = check_product_rules(rho, phi, 12)
     assert rep["margin"] == 12 - 4 - 4
     assert all(v <= 1e-12 for v in rep["residuals"].values())
 
@@ -162,13 +167,13 @@ def test_product_rules_two_sided(rng):
 def test_product_rules_inconclusive_margin(rng):
     rho = random_poly(rng, 1, 1, (-3, 3))
     phi = random_poly(rng, 1, 1, (-3, 3))
-    rep = hv.check_product_rules(rho, phi, 4)
+    rep = check_product_rules(rho, phi, 4)
     assert rep["inconclusive"]
 
 
 def test_shift_relations(rng):
     rho = random_poly(rng, 2, 3, (-2, 0, 1))
-    rep = hv.check_shift_relations(rho, 8)
+    rep = check_shift_relations(rho, 8)
     assert all(v <= 1e-13 for v in rep["residuals"].values())
 
 
@@ -212,6 +217,6 @@ def test_diagonal_absorption(rng):
 
 def test_window_margin_formula(rng):
     sym = random_poly(rng, 1, 1, (-1, 2))
-    assert hv.margin_for(10, sym) == 10 - 4
-    assert hv.margin_for(3, sym) == 0
-    assert hv.margin_for(5, sym, sym) == 0
+    assert margin_for(10, sym) == 10 - 4
+    assert margin_for(3, sym) == 0
+    assert margin_for(5, sym, sym) == 0
