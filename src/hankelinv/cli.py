@@ -167,7 +167,7 @@ def cmd_invert(args) -> int:
     n = 4 * fx.data.m + 4 if args.order is None else args.order
     suite = check_lemma_suite(fx.data, n, tol=args.tol)
     margin = inverse_margin(fx.data, g, n)
-    inv = verify_inverse(build_omega(g, n), suite["m_alternate"], g.rows, g.cols, margin)
+    inv = verify_inverse(build_omega(g, n), suite["m"], g.rows, g.cols, margin)
     doc = {
         "window": n,
         "margin": margin,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateError, ShapeError, SingularCornerError
-from .inversion import DataSet, identity_residual_triple
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, identity_residual_triple
 from .series import LaurentPoly, SubspaceTag
 from .structured import OpKind, build
 
@@ -88,11 +88,11 @@ def _maxabs(x) -> float:
 
 def _identity_entries(data: DataSet, tol: float) -> list:
     """Entries for the direct identity triple alone."""
-    names = ("identity_a", "identity_d", "identity_cross")
-    return [_residual_entry(n, r, tol) for n, r in zip(names, identity_residual_triple(data))]
+    res = identity_residual_triple(data)
+    return [_residual_entry(n, r, tol) for n, r in zip(IDENTITY_NAMES, res)]
 
 
-def check_identities(data: DataSet, tol: float = 1e-10) -> CheckReport:
+def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the three data identities and their dual forms.
 
     The direct triple compares alpha* alpha - gamma* gamma against a0 and
@@ -253,7 +253,7 @@ def _posdef_entry(name, mat):
     )
 
 
-def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 1e-10) -> CheckReport:
+def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = DEFAULT_TOL) -> CheckReport:
     """The three solvability-with-contraction conditions, plus the direct check.
 
     Conditions: a0 and d0 positive definite, the data identities, and the
@@ -292,7 +292,7 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
 # -- solution verification ---------------------------------------------------
 
 
-def verify_solution(data: DataSet, g: LaurentPoly, tol: float = 1e-10) -> CheckReport:
+def verify_solution(data: DataSet, g: LaurentPoly, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the four membership inclusions defining a solution.
 
     Each entry is the sup norm of the forbidden-support part of one of the

@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operands have incompatible matrix or block dimensions."""
 
 
-class EvaluationError(ValueError):
-    """A symbol with negative-degree support was evaluated at z = 0."""
-
-
 class SingularCornerError(ValueError):
     """A zero-degree corner matrix (a0 or d0) is numerically singular."""
 

@@ -2,11 +2,12 @@
 
 ``build_omega`` assembles the window of [[I, H+(g)], [H-(g*), I]] and
 ``build_m`` the window of its inverse candidate M, from the data symbols
-alone.  Two equivalent assembly routes for M are implemented: the
-``primary`` route with explicit shift factors and the ``alternate`` route
-that absorbs the shifts into the symbols.  The alternate route is the
-default (fewer multiplies).  A third, Hankel-product form is used
-internally by the identity suite as a cross-check.
+alone.  With the shift factors absorbed into the symbols, every block of M
+is a difference of products of the corner inverses with the eight windows
+T+(alpha), T+(z beta), H-(gamma), H-(z delta), H+(beta), H+(alpha/z),
+T-(delta) and T-(gamma/z).  ``check_lemma_suite`` compares that window
+with the defining products, whose shift factors are explicit, and with
+the Hankel-product form of M.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .series import LaurentPoly, SubspaceTag, as_matrix
 from .structured import OpKind, build, corner_residual
 
 CORNER_COND_LIMIT = 1e12
+DEFAULT_TOL = 1e-10
+IDENTITY_NAMES = ("identity_a", "identity_d", "identity_cross")
 
 
 @dataclass(frozen=True)
@@ -96,20 +99,6 @@ class DataSet:
 # -- column helpers ---------------------------------------------------------
 
 
-def plus_unit_column(n: int, n_blocks: int) -> np.ndarray:
-    """The map C^n -> plus window hitting the first block with I_n."""
-    col = np.zeros((n_blocks * n, n), dtype=complex)
-    col[:n, :] = np.eye(n)
-    return col
-
-
-def minus_unit_column(n: int, n_blocks: int) -> np.ndarray:
-    """The map C^n -> minus window hitting the last (degree 0) block."""
-    col = np.zeros((n_blocks * n, n), dtype=complex)
-    col[-n:, :] = np.eye(n)
-    return col
-
-
 def plus_coeff_column(sym: LaurentPoly, n_blocks: int) -> np.ndarray:
     """Stack coefficients 0..N-1 of a plus symbol into a window column."""
     return sym.coeff_run(0, n_blocks).reshape(n_blocks * sym.rows, sym.cols)
@@ -141,85 +130,43 @@ def build_omega(g: LaurentPoly, n_blocks: int) -> np.ndarray:
     return out
 
 
-def _window(p: int, q: int, n_blocks: int):
-    """An unfilled N(p+q)-square window and its four block views."""
-    n = n_blocks * p
-    out = np.empty((n_blocks * (p + q),) * 2, dtype=complex)
-    return out, (out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:])
+def _assemble(data: DataSet, N: int):
+    """M's window, its block-diagonal corner inverses and the eight windows it is built from.
 
-
-def build_m(data: DataSet, n_blocks: int, variant: str = "alternate") -> np.ndarray:
-    """Window of the inverse candidate M assembled from the data, N(p+q) square.
-
-    ``variant='primary'`` uses the defining products with explicit shift
-    factors; ``variant='alternate'`` absorbs the shifts into the symbols.
-    At any window wider than the symbol supports the two fills agree
-    entrywise.  Each block is written into one preallocated array.
+    Returns (m, da, dd, windows), with the windows in the order T+(alpha),
+    T+(z beta), H-(gamma), H-(z delta), H+(beta), H+(alpha/z), T-(delta),
+    T-(gamma/z); each block of m is written into one preallocated array.
     """
-    if variant not in ("primary", "alternate"):
-        raise ValueError(f"unknown variant {variant!r}")
+    a0inv, d0inv = data.corner_inverses()
+    da = np.kron(np.eye(N), a0inv)
+    dd = np.kron(np.eye(N), d0inv)
+    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    windows = (
+        build(OpKind.TOEPLITZ_PLUS, al, N),
+        build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N),
+        build(OpKind.HANKEL_MINUS, ga, N),
+        build(OpKind.HANKEL_MINUS, de.shifted(1), N),
+        build(OpKind.HANKEL_PLUS, be, N),
+        build(OpKind.HANKEL_PLUS, al.shifted(-1), N),
+        build(OpKind.TOEPLITZ_MINUS, de, N),
+        build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N),
+    )
+    tp_a, tp_lb, hm_g, hm_ld, hp_b, hp_la, tm_d, tm_lg = windows
+    n = N * data.p
+    out = np.empty((N * (data.p + data.q),) * 2, dtype=complex)
+    out[:n, :n] = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
+    out[n:, :n] = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
+    out[:n, n:] = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
+    out[n:, n:] = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
+    return out, da, dd, windows
+
+
+def build_m(data: DataSet, n_blocks: int) -> np.ndarray:
+    """Window of the inverse candidate M assembled from the data, N(p+q) square."""
     N = int(n_blocks)
     if N < 1:
         raise ShapeError("window must retain at least one block")
-    p, q = data.p, data.q
-    a0inv, d0inv = data.corner_inverses()
-    da = np.kron(np.eye(N), a0inv)
-    dd = np.kron(np.eye(N), d0inv)
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    out, (m11, m12, m21, m22) = _window(p, q, N)
-
-    tp_a = build(OpKind.TOEPLITZ_PLUS, al, N)
-    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
-    hm_g = build(OpKind.HANKEL_MINUS, ga, N)
-    hp_b = build(OpKind.HANKEL_PLUS, be, N)
-
-    if variant == "primary":
-        sp_p = build(OpKind.SHIFT_PLUS, p, N)
-        sm_q = build(OpKind.SHIFT_MINUS, q, N)
-        tp_b = build(OpKind.TOEPLITZ_PLUS, be, N)
-        tm_g = build(OpKind.TOEPLITZ_MINUS, ga, N)
-        hp_a = build(OpKind.HANKEL_PLUS, al, N)
-        hm_d = build(OpKind.HANKEL_MINUS, de, N)
-        m11[:] = tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T
-        m21[:] = hm_g @ da @ tp_a.conj().T - sm_q.conj().T @ hm_d @ dd @ tp_b.conj().T @ sp_p.conj().T
-        m12[:] = hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T
-        m22[:] = tm_d @ dd @ tm_d.conj().T - sm_q @ tm_g @ da @ tm_g.conj().T @ sm_q.conj().T
-    else:
-        tp_lb = build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
-        tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
-        hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
-        hm_ld = build(OpKind.HANKEL_MINUS, de.shifted(1), N)
-        m11[:] = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
-        m21[:] = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
-        m12[:] = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
-        m22[:] = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
-    return out
-
-
-def _build_m_hankel(data: DataSet, n_blocks: int) -> np.ndarray:
-    """The Hankel-product form of M (used as a cross-check)."""
-    N = int(n_blocks)
-    p, q = data.p, data.q
-    a0inv, d0inv = data.corner_inverses()
-    da = np.kron(np.eye(N), a0inv)
-    dd = np.kron(np.eye(N), d0inv)
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    out, (m11, m12, m21, m22) = _window(p, q, N)
-
-    hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
-    hp_b = build(OpKind.HANKEL_PLUS, be, N)
-    hm_g = build(OpKind.HANKEL_MINUS, ga, N)
-    hm_ld = build(OpKind.HANKEL_MINUS, de.shifted(1), N)
-    tp_a = build(OpKind.TOEPLITZ_PLUS, al, N)
-    tp_lb = build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
-    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
-    tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
-
-    m11[:] = np.eye(N * p) - hp_la @ da @ hp_la.conj().T + hp_b @ dd @ hp_b.conj().T
-    m21[:] = tm_d @ dd @ hp_b.conj().T - tm_lg @ da @ hp_la.conj().T
-    m12[:] = tp_a @ da @ hm_g.conj().T - tp_lb @ dd @ hm_ld.conj().T
-    m22[:] = np.eye(N * q) - hm_ld @ dd @ hm_ld.conj().T + hm_g @ da @ hm_g.conj().T
-    return out
+    return _assemble(data, N)[0]
 
 
 def inverse_margin(data: DataSet, g: LaurentPoly, n_blocks: int) -> int:
@@ -253,19 +200,21 @@ def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if x.size else float("nan")
 
 
-def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
+def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of the structural identities satisfied by M.
 
     Covers the Toeplitz/Hankel exchange identities, the unit-column
-    identities (M applied to the unit columns returns the coefficient
-    columns), selfadjointness M12* = M21, agreement of the three assembly
-    routes, the J-congruence M J M = diag(M11, -M22) and the shift
-    intertwining M11 S+* M12 = M12 S- M22.
+    identities (the first p and last q columns of M are the coefficient
+    columns), selfadjointness M12* = M21, agreement of ``build_m`` with the
+    defining products (``variant_agreement``) and with the Hankel-product
+    form (``hankel_form_agreement``), the J-congruence
+    M J M = diag(M11, -M22) and the shift intertwining
+    M11 S+* M12 = M12 S- M22.
 
     The data identities are a precondition; their residual triple is
     reported and ``precondition_ok`` is False when it exceeds ``tol``.
-    The alternate-route window of M that the suite checks is returned
-    under ``"m_alternate"``.
+    The window of M that the suite checks is returned under ``"m"``.
+    Every window is built once.
     """
     N = int(n_blocks)
     p, q = data.p, data.q
@@ -274,7 +223,7 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     id_res = identity_residual_triple(data)
     precondition_ok = max(id_res) <= tol
 
-    mm = build_m(data, N, "alternate")
+    mm, da, dd, (tp_a, tp_lb, hm_g, hm_ld, hp_b, hp_la, tm_d, tm_lg) = _assemble(data, N)
     n = N * p
     m11, m12, m21, m22 = mm[:n, :n], mm[:n, n:], mm[n:, :n], mm[n:, n:]
 
@@ -286,12 +235,8 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
     # Exchange identities: T+(rho*) H+(...) = H+(...) T-(...) in block form.
     tp_as = build(OpKind.TOEPLITZ_PLUS, al.adjoint(), N)
     tp_lbs = build(OpKind.TOEPLITZ_PLUS, be.adjoint().shifted(-1), N)
-    hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
-    hp_b = build(OpKind.HANKEL_PLUS, be, N)
     hp_gs = build(OpKind.HANKEL_PLUS, ga.adjoint(), N)
     hp_lds = build(OpKind.HANKEL_PLUS, de.adjoint().shifted(-1), N)
-    tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
-    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
 
     plus_p, plus_q = [("plus", p)], [("plus", q)]
     minus_p, minus_q = [("minus", p)], [("minus", q)]
@@ -311,20 +256,40 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
 
     # Unit-column identities: M maps the unit columns to the data columns.
     units = {
-        "units_a": _maxabs(m11 @ plus_unit_column(p, N) - plus_coeff_column(al, N)),
-        "units_b": _maxabs(m12 @ minus_unit_column(q, N) - plus_coeff_column(be, N)),
-        "units_c": _maxabs(m21 @ plus_unit_column(p, N) - minus_coeff_column(ga, N)),
-        "units_d": _maxabs(m22 @ minus_unit_column(q, N) - minus_coeff_column(de, N)),
+        "units_a": _maxabs(m11[:, :p] - plus_coeff_column(al, N)),
+        "units_b": _maxabs(m12[:, -q:] - plus_coeff_column(be, N)),
+        "units_c": _maxabs(m21[:, :p] - minus_coeff_column(ga, N)),
+        "units_d": _maxabs(m22[:, -q:] - minus_coeff_column(de, N)),
     }
 
-    # Selfadjointness and agreement between the assembly routes.
+    # The defining products, with explicit shifts S+ T+(beta) = T+(z beta),
+    # S- T-(gamma) = T-(gamma/z), S+* H+(alpha) = H+(alpha/z) and
+    # S-* H-(delta) = H-(z delta), and the Hankel-product form of M.
+    tp_b = build(OpKind.TOEPLITZ_PLUS, be, N)
+    tm_g = build(OpKind.TOEPLITZ_MINUS, ga, N)
+    hp_a = build(OpKind.HANKEL_PLUS, al, N)
+    hm_d = build(OpKind.HANKEL_MINUS, de, N)
+    primary = np.block([
+        [tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T,
+         hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T],
+        [hm_g @ da @ tp_a.conj().T - sm_q.conj().T @ hm_d @ dd @ tp_b.conj().T @ sp_p.conj().T,
+         tm_d @ dd @ tm_d.conj().T - sm_q @ tm_g @ da @ tm_g.conj().T @ sm_q.conj().T],
+    ])
+    hankel = np.block([
+        [np.eye(n) - hp_la @ da @ hp_la.conj().T + hp_b @ dd @ hp_b.conj().T,
+         tp_a @ da @ hm_g.conj().T - tp_lb @ dd @ hm_ld.conj().T],
+        [tm_d @ dd @ hp_b.conj().T - tm_lg @ da @ hp_la.conj().T,
+         np.eye(N * q) - hm_ld @ dd @ hm_ld.conj().T + hm_g @ da @ hm_g.conj().T],
+    ])
+
+    # Selfadjointness and agreement with the two other forms of M.
     spaces = plus_p + minus_q
     structure = {
         "adjoint_m12_m21": _maxabs(m12.conj().T - m21),
         "m11_hermitian": _maxabs(m11.conj().T - m11),
         "m22_hermitian": _maxabs(m22.conj().T - m22),
-        "variant_agreement": _maxabs(build_m(data, N, "primary") - mm),
-        "hankel_form_agreement": res(_build_m_hankel(data, N) - mm, spaces, spaces),
+        "variant_agreement": _maxabs(primary - mm),
+        "hankel_form_agreement": res(hankel - mm, spaces, spaces),
     }
 
     # J-congruence with J = diag(I, -I), and the shift intertwining.
@@ -341,7 +306,7 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = 1e-10) -> dict:
         "j_congruence": res(mjm, spaces, spaces),
         "intertwine": res(inter, plus_p, minus_q),
         "thht_shifted": thht_shifted,
-        "m_alternate": mm,
+        "m": mm,
     }
     out.update(thht)
     out.update(units)

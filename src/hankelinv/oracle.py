@@ -77,8 +77,11 @@ def random_fixture(p: int, q: int, m: int, target_norm: float, rng_seed: int) ->
 
     Coefficients are complex Gaussian draws rescaled so that the Hankel
     norm of g equals ``target_norm`` exactly (the norm is homogeneous in
-    g).  ``target_norm`` must lie below 1 for the synthesis to exist.
+    g).  ``target_norm`` must lie below 1 for the synthesis to exist; p
+    and q must be at least 1 and the degree m at least 0.
     """
+    if p < 1 or q < 1 or m < 0:
+        raise ValueError(f"need p, q >= 1 and m >= 0, got p={p} q={q} m={m}")
     if not 0 <= target_norm < 1:
         raise ValueError("target_norm must lie in [0, 1)")
     rng = np.random.default_rng(rng_seed)

@@ -21,8 +21,10 @@ degree-keyed constructor ``LaurentPoly(rows, cols, coeffs)`` checks each
 block on its own and is kept for callers that hold a few scattered
 coefficients.
 
-All values are immutable after construction (coefficient arrays are marked
-read-only); every operation is pure.
+Both operands of ``+`` and ``-`` are series of one shape, and ``*`` takes
+two series whose shapes compose or a series and a number; nothing else is
+promoted to a series.  All values are immutable after construction
+(coefficient arrays are marked read-only); every operation is pure.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numbers
 
 import numpy as np
 
-from .errors import EvaluationError, ShapeError
+from .errors import ShapeError
 
 # Coefficients with max-abs entry below this are dropped (canonical form).
 CANONICAL_TOL = 1e-14
@@ -59,11 +61,10 @@ def as_matrix(entries, rows=None, cols=None):
 class SubspaceTag(enum.Enum):
     """Support classes of Laurent series on the circle.
 
-    ``PLUS`` keeps degrees >= 0, ``MINUS`` degrees <= 0, the ``*_ZERO``
-    variants exclude degree 0 and ``FULL`` keeps everything.
+    ``PLUS`` keeps degrees >= 0, ``MINUS`` degrees <= 0 and the ``*_ZERO``
+    variants exclude degree 0.
     """
 
-    FULL = "full"
     PLUS = "plus"
     MINUS = "minus"
     PLUS_ZERO = "plus_zero"
@@ -72,7 +73,6 @@ class SubspaceTag(enum.Enum):
 
 # inclusive degree range of each tag; None leaves that side open
 _BOUNDS = {
-    SubspaceTag.FULL: (None, None),
     SubspaceTag.PLUS: (0, None),
     SubspaceTag.MINUS: (None, 0),
     SubspaceTag.PLUS_ZERO: (1, None),
@@ -108,6 +108,7 @@ class LaurentPoly:
     """
 
     __slots__ = ("rows", "cols", "_lo", "_arr")
+    __array_ufunc__ = None  # numpy arrays and scalars leave operators to this class
 
     def __init__(self, rows, cols, coeffs=None):
         rows = int(rows)
@@ -171,11 +172,6 @@ class LaurentPoly:
     @classmethod
     def single(cls, degree, mat):
         return cls.from_run(degree, as_matrix(mat)[None])
-
-    @classmethod
-    def shift_scalar(cls, degree=1):
-        """The 1x1 symbol z**degree (degree +1 is the forward shift symbol)."""
-        return cls.single(degree, np.eye(1))
 
     # -- basic queries -----------------------------------------------------
 
@@ -264,7 +260,8 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly_like(other, self)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         if other.shape != self.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape} series")
         if other.is_zero:
@@ -277,28 +274,19 @@ class LaurentPoly:
             out[f._lo - lo : f._lo - lo + len(f._arr)] += f._arr
         return LaurentPoly._make(self.rows, self.cols, lo, out)
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __neg__(self):
         return LaurentPoly._wrap(self.rows, self.cols, self._lo, -self._arr)
 
     def __sub__(self, other):
-        other = _as_poly_like(other, self)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return _as_poly_like(other, self) - self
+        return self + (-other) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
             return LaurentPoly._make(self.rows, self.cols, self._lo, other * self._arr)
-        return lp_mul(self, other)
+        return lp_mul(self, other) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Number):
-            return self.__mul__(other)
-        return lp_mul(_as_poly_like(other, self), self)
+        return self.__mul__(other) if isinstance(other, numbers.Number) else NotImplemented
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by z**k (shift every degree by k)."""
@@ -321,16 +309,6 @@ class LaurentPoly:
         out = np.zeros_like(self._arr)
         out[start:stop] = self._arr[start:stop]
         return LaurentPoly._make(self.rows, self.cols, self._lo, out)
-
-    def eval(self, z):
-        """Evaluate the series at the point z (sum of coeff * z**degree)."""
-        z = complex(z)
-        if z == 0:
-            if not self.is_zero and self._lo < 0:
-                raise EvaluationError("negative-degree support cannot be evaluated at z = 0")
-            return self.coeff(0).copy()
-        powers = z ** np.arange(self._lo, self._lo + len(self._arr))
-        return np.einsum("k,krc->rc", powers, self._arr)
 
     def det(self) -> "LaurentPoly":
         """Determinant as a 1x1 Laurent series.
@@ -362,54 +340,29 @@ def _unit_powers(npts, k, degrees):
     return np.exp(2j * np.pi * (np.multiply.outer(k, degrees) % npts) / npts)
 
 
-def _as_poly_like(value, template: LaurentPoly) -> LaurentPoly:
-    """Promote scalars/matrices to constant series with a compatible shape."""
-    if isinstance(value, LaurentPoly):
-        return value
-    if isinstance(value, numbers.Number):
-        if template.rows != template.cols:
-            raise ShapeError("scalar promotion needs a square shape")
-        return LaurentPoly.constant(complex(value) * np.eye(template.rows))
-    return LaurentPoly.constant(value)
-
-
 # -- functional aliases ----------------------------------------------------
 
 
 def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Product of two series (Cauchy convolution of coefficients).
 
-    A 1x1 operand acts as a scalar on the other factor, matching the usual
-    convention for the scalar shift symbol.  The loop runs over the degrees
-    of the shorter operand; each step multiplies one of its coefficients
-    into every coefficient of the other at once.
+    The coefficient shapes must compose: f is r x k and g is k x c.  The
+    loop runs over the degrees of the shorter operand; each step multiplies
+    one of its coefficients into every coefficient of the other at once.
     """
-    if not isinstance(f, LaurentPoly):
-        f = LaurentPoly.constant(f)
-    if not isinstance(g, LaurentPoly):
-        g = LaurentPoly.constant(g)
-    scalar_left = f.shape == (1, 1) and g.rows != 1
-    scalar_right = g.shape == (1, 1) and f.cols != 1
-    if not (scalar_left or scalar_right) and f.cols != g.rows:
+    if f.cols != g.rows:
         raise ShapeError(f"cannot multiply {f.shape} by {g.shape} series")
-    if scalar_left:
-        rows, cols = g.rows, g.cols
-    elif scalar_right:
-        rows, cols = f.rows, f.cols
-    else:
-        rows, cols = f.rows, g.cols
     if f.is_zero or g.is_zero:
-        return LaurentPoly.zero(rows, cols)
+        return LaurentPoly.zero(f.rows, g.cols)
     A, B = f._arr, g._arr
-    product = np.multiply if scalar_left or scalar_right else np.matmul
-    out = np.zeros((len(A) + len(B) - 1, rows, cols), dtype=complex)
+    out = np.zeros((len(A) + len(B) - 1, f.rows, g.cols), dtype=complex)
     if len(A) <= len(B):
         for i, a in enumerate(A):
-            out[i : i + len(B)] += product(a, B)
+            out[i : i + len(B)] += np.matmul(a, B)
     else:
         for j, b in enumerate(B):
-            out[j : j + len(A)] += product(A, b)
-    return LaurentPoly._make(rows, cols, f._lo + g._lo, out)
+            out[j : j + len(A)] += np.matmul(A, b)
+    return LaurentPoly._make(f.rows, g.cols, f._lo + g._lo, out)
 
 
 def poly_gap(f: LaurentPoly, g: LaurentPoly) -> float:

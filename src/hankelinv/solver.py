@@ -40,6 +40,9 @@ from .errors import (
     SingularBlockError,
 )
 from .inversion import (
+    CORNER_COND_LIMIT,
+    DEFAULT_TOL,
+    IDENTITY_NAMES,
     DataSet,
     build_m,
     identity_residual_triple,
@@ -49,9 +52,7 @@ from .inversion import (
 from .series import LaurentPoly, poly_gap
 from .structured import _block_toeplitz
 
-DEFAULT_TOL = 1e-10
 REFUSAL_FACTOR = 100.0
-_IDENTITY_NAMES = ("identity_a", "identity_d", "identity_cross")
 
 
 @dataclass
@@ -124,7 +125,7 @@ def tri_toeplitz_solve(t, b):
         raise ShapeError(f"right-hand side blocks must have {k} rows")
     if m == 0:
         return np.zeros((0, k, r), dtype=complex)
-    if np.linalg.cond(t[0]) > 1e12:
+    if np.linalg.cond(t[0]) > CORNER_COND_LIMIT:
         raise SingularBlockError("diagonal block of the triangular system is singular")
 
     T = np.zeros((m, k, k), dtype=complex)
@@ -149,7 +150,7 @@ def _identity_gate(data: DataSet, tol: float, flags: list):
     """Refuse on gross identity violations, flag moderate ones."""
     res = identity_residual_triple(data)
     worst_val = max(res)
-    worst_name = _IDENTITY_NAMES[res.index(worst_val)]
+    worst_name = IDENTITY_NAMES[res.index(worst_val)]
     if worst_val > REFUSAL_FACTOR * tol:
         raise DataIdentityError(
             f"data identities violated: {worst_name} residual {worst_val:.3e} "
@@ -280,7 +281,7 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     N = data.extent() if n_blocks is None else int(n_blocks)
     p, q = data.p, data.q
 
-    big = build_m(data, N, "alternate")
+    big = build_m(data, N)
     n = N * p
     m11, m12, m22 = big[:n, :n], big[:n, n:], big[n:, n:]
     s11 = float(np.linalg.svd(m11, compute_uv=False)[-1])

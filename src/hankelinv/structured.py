@@ -21,7 +21,6 @@ import enum
 import numpy as np
 
 from .errors import ShapeError
-from .series import LaurentPoly
 
 
 class OpKind(enum.Enum):
@@ -47,10 +46,9 @@ def _block_toeplitz(seq, n_cols):
 def build(kind: OpKind, symbol, n_blocks: int) -> np.ndarray:
     """The dense N-block window of a structured operator.
 
-    ``symbol`` is a LaurentPoly (or a constant matrix) for the
-    Toeplitz/Hankel kinds and a block dimension (int) for the shifts.  A
-    window narrower than the symbol support is not an error; its exact
-    margin is just 0.
+    ``symbol`` is a LaurentPoly for the Toeplitz/Hankel kinds and a block
+    dimension (int) for the shifts.  A window narrower than the symbol
+    support is not an error; its exact margin is just 0.
     """
     N = int(n_blocks)
     if N < 1:
@@ -61,8 +59,6 @@ def build(kind: OpKind, symbol, n_blocks: int) -> np.ndarray:
         # S+ puts I on the block subdiagonal, S- on the block superdiagonal
         return np.eye(N * n, k=-n if kind is OpKind.SHIFT_PLUS else n, dtype=complex)
 
-    if not isinstance(symbol, LaurentPoly):
-        symbol = LaurentPoly.constant(symbol)
     if kind is OpKind.TOEPLITZ_PLUS or kind is OpKind.TOEPLITZ_MINUS:
         anchor = 0
     elif kind is OpKind.HANKEL_PLUS:

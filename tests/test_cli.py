@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import LaurentPoly, cli, inversion, io_json
+from hankelinv import LaurentPoly, cli, io_json, structured
 
 from support import trivial_data
 
@@ -76,6 +76,16 @@ def test_synthesize_random(tmp_path):
     data, g, metadata = io_json.problem_from_json(io_json.read_json(out))
     assert metadata["seed"] == 9
     assert hv.verify_solution(data, g).passed
+
+
+@pytest.mark.parametrize("dims", [("1", "1", "-1"), ("1", "1", "-3"), ("0", "1", "2"), ("2", "0", "2")])
+def test_synthesize_random_bad_dimensions(tmp_path, capsys, dims):
+    # an empty draw (m < 0) or an empty block (p or q < 1) is refused, not divided by
+    out = tmp_path / "bad.json"
+    argv = ["synthesize", "--random", "--p", dims[0], "--q", dims[1], "--m", dims[2]]
+    assert cli.main(argv + ["--norm", "0.5", str(out)]) == 2
+    assert "p, q >= 1 and m >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- solve ---------------------------------------------------------------------
@@ -181,20 +191,26 @@ def test_invert_emits_strict_json(tmp_path, capsys):
     assert None in doc["lemma_suite"].values()
 
 
-def test_invert_builds_each_m_variant_once(monkeypatch, tmp_path):
+def test_invert_builds_each_window_once(monkeypatch, tmp_path):
+    # every structured.build call of one invert, keyed by (kind, symbol, N)
     calls = []
-    original = inversion.build_m
+    original = structured.build
 
-    def recording(data, n_blocks, variant="alternate"):
-        calls.append(variant)
-        return original(data, n_blocks, variant)
+    def recording(kind, symbol, n_blocks):
+        key = symbol
+        if isinstance(symbol, LaurentPoly):
+            degs = symbol.degrees()
+            key = (symbol.shape, degs, b"".join(symbol.coeff(d).tobytes() for d in degs))
+        calls.append((kind, key, n_blocks))
+        return original(kind, symbol, n_blocks)
 
-    monkeypatch.setattr(inversion, "build_m", recording)
-    monkeypatch.setattr(cli, "build_m", recording, raising=False)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hankelinv") and getattr(module, "build", None) is original:
+            monkeypatch.setattr(module, "build", recording)
     gpath = tmp_path / "g2.json"
     io_json.write_json(gpath, io_json.poly_to_json(LaurentPoly(1, 1, {0: [[0.3]], 2: [[0.2]]})))
     assert cli.main(["invert", str(gpath)]) == 0
-    assert sorted(calls) == ["alternate", "primary"]
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_exit_code_is_function_of_report():

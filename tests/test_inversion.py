@@ -79,11 +79,31 @@ def test_m11_deg0_diagonal(deg0_fixture):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_variants_agree(seed):
+    # build_m against the defining products with explicit shift factors
     fx = hv.random_fixture(p=2, q=2, m=3, target_norm=0.6, rng_seed=seed)
     N = 4 * fx.data.m + 4
-    m_alt = hv.build_m(fx.data, N, "alternate")
-    m_pri = hv.build_m(fx.data, N, "primary")
-    assert np.max(np.abs(m_alt - m_pri)) <= 1e-12
+    assert hv.check_lemma_suite(fx.data, N)["variant_agreement"] <= 1e-12
+
+
+@pytest.mark.parametrize("p,q,N", [(1, 1, 3), (2, 1, 4), (2, 3, 9)])
+def test_window_shift_identities(rng, p, q, N):
+    # the shifts absorbed by build_m, exact on the full window once N > degree
+    alpha = random_poly(rng, p, p, range(0, N))
+    beta = random_poly(rng, p, q, range(0, N))
+    gamma = random_poly(rng, q, p, range(1 - N, 1))
+    delta = random_poly(rng, q, q, range(1 - N, 1))
+    sp = hv.build(hv.OpKind.SHIFT_PLUS, p, N)
+    sm = hv.build(hv.OpKind.SHIFT_MINUS, q, N)
+    tp, tm = hv.OpKind.TOEPLITZ_PLUS, hv.OpKind.TOEPLITZ_MINUS
+    hp, hm = hv.OpKind.HANKEL_PLUS, hv.OpKind.HANKEL_MINUS
+    pairs = [
+        (sp @ hv.build(tp, beta, N), hv.build(tp, beta.shifted(1), N)),
+        (sm @ hv.build(tm, gamma, N), hv.build(tm, gamma.shifted(-1), N)),
+        (sp.conj().T @ hv.build(hp, alpha, N), hv.build(hp, alpha.shifted(-1), N)),
+        (sm.conj().T @ hv.build(hm, delta, N), hv.build(hm, delta.shifted(1), N)),
+    ]
+    for lhs, rhs in pairs:
+        assert np.array_equal(lhs, rhs)
 
 
 def test_m_hermitian_blocks_for_hermitian_corners(rng):
@@ -97,11 +117,11 @@ def test_m_hermitian_blocks_for_hermitian_corners(rng):
     dherm = 0.1 * (dherm + dherm.conj().T) + np.eye(2)
     delta = LaurentPoly(2, 2, {0: dherm, -1: 0.3 * rng.standard_normal((2, 2))})
     data = DataSet(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
-    for variant in ("primary", "alternate"):
-        m = hv.build_m(data, 6, variant)
-        m11, m22 = m[:12, :12], m[12:, 12:]
-        assert np.max(np.abs(m11 - m11.conj().T)) < 1e-12
-        assert np.max(np.abs(m22 - m22.conj().T)) < 1e-12
+    m = hv.build_m(data, 6)
+    m11, m22 = m[:12, :12], m[12:, 12:]
+    assert np.max(np.abs(m11 - m11.conj().T)) < 1e-12
+    assert np.max(np.abs(m22 - m22.conj().T)) < 1e-12
+    assert hv.check_lemma_suite(data, 6)["variant_agreement"] < 1e-12
 
 
 # -- inversion ------------------------------------------------------------------
