@@ -8,7 +8,6 @@ solvers and a full diagnostic suite for the solvability conditions.
 """
 
 from .series import (
-    CANONICAL_TOL,
     LaurentPoly,
     SubspaceTag,
     as_matrix,
@@ -51,7 +50,6 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "CANONICAL_TOL",
     "CheckEntry",
     "CheckReport",
     "DEFAULT_TOL",

@@ -251,6 +251,9 @@ def main(argv=None) -> int:
     if getattr(args, "order", None) is not None and args.order < 1:
         _err(f"--order must be a positive block count, got {args.order}")
         return EXIT_PARSE
+    if hasattr(args, "tol") and not 0 < args.tol < float("inf"):
+        _err(f"--tol must be a finite positive number, got {args.tol}")
+        return EXIT_PARSE
     try:
         return args.func(args)
     except (ParseError, ShapeError) as exc:

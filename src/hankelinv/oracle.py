@@ -27,8 +27,6 @@ class Fixture:
     g: LaurentPoly
     data: DataSet
     note: str = ""
-    target_norm: float = None
-    seed: int = None
 
 
 def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
@@ -93,7 +91,4 @@ def random_fixture(p: int, q: int, m: int, target_norm: float, rng_seed: int) ->
     g = LaurentPoly.from_run(0, (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2))
     norm = diagnostics.hankel_norm(g)
     g = (target_norm / norm) * g
-    fx = synthesize_data(g, note=note)
-    fx.target_norm = target_norm
-    fx.seed = rng_seed
-    return fx
+    return synthesize_data(g, note=note)

@@ -5,10 +5,10 @@ The basic value type is :class:`LaurentPoly`: a matrix polynomial in z and
 Toeplitz and Hankel operators on the unit circle.  A series is stored as
 the lowest degree of its support plus one ``(width, rows, cols)`` complex
 array holding the coefficients of every degree from there up, so each
-operation is a few whole-array numpy calls.  After every arithmetic
-operation a coefficient whose largest entry falls below ``CANONICAL_TOL``
-is set to zero and zero coefficients at either end are trimmed, so supports
-stay finite and comparisons stay meaningful.  Storage is dense over the
+operation is a few whole-array numpy calls.  Every finite coefficient an
+operation computes is kept, however small, and only exactly-zero
+coefficients at either end are trimmed, so a residual is measured as it
+was computed and never rounded to zero first.  Storage is dense over the
 support width: a series with two coefficients far apart holds every zero
 block between them.
 
@@ -35,9 +35,6 @@ import numbers
 import numpy as np
 
 from .errors import ShapeError
-
-# Coefficients with max-abs entry below this are dropped (canonical form).
-CANONICAL_TOL = 1e-14
 
 
 def as_matrix(entries, rows=None, cols=None):
@@ -81,14 +78,12 @@ _BOUNDS = {
 
 
 def _canonicalise(lo, arr):
-    """Check the fresh array ``arr`` finite, zero its noise blocks, trim its
-    zero end blocks and freeze it; returns the new (lo, arr)."""
+    """Check the fresh array ``arr`` finite, trim its exactly-zero end blocks
+    and freeze it; returns the new (lo, arr)."""
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
-    small = np.abs(arr).max(axis=(1, 2)) < CANONICAL_TOL
-    arr[small] = 0
     arr.flags.writeable = False
-    keep = np.flatnonzero(~small)
+    keep = np.flatnonzero(arr.any(axis=(1, 2)))
     if keep.size == 0:
         return 0, arr[:0]
     return lo + int(keep[0]), arr[keep[0] : keep[-1] + 1]
@@ -102,9 +97,9 @@ class LaurentPoly:
     rows, cols : int
         Matrix dimensions of every coefficient.
     coeffs : mapping int -> array_like, optional
-        Coefficient matrices by degree, each checked on its own.
-        Near-zero coefficients (max-abs entry below ``CANONICAL_TOL``) are
-        dropped.  ``from_run`` is the array form of this constructor.
+        Coefficient matrices by degree, each checked on its own and kept
+        as given, however small.  ``from_run`` is the array form of this
+        constructor.
     """
 
     __slots__ = ("rows", "cols", "_lo", "_arr")
@@ -149,7 +144,7 @@ class LaurentPoly:
         """The series whose coefficient of degree lo + k is ``run[k]``.
 
         ``run`` is a ``(count, rows, cols)`` array_like; it is copied,
-        checked finite once as a whole and brought to canonical form.
+        checked finite once as a whole and trimmed of exactly-zero end blocks.
         """
         arr = np.array(run, dtype=complex)
         if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
@@ -241,11 +236,10 @@ class LaurentPoly:
         stop = width if hi is None else min(max(hi - self._lo + 1, 0), width)
         return start, stop
 
-    def in_subspace(self, tag: SubspaceTag, tol: float = 0.0) -> bool:
-        """True when all coefficients outside ``tag``'s support are <= tol."""
+    def in_subspace(self, tag: SubspaceTag) -> bool:
+        """True when every coefficient outside ``tag``'s support is zero."""
         start, stop = self._span(tag)
-        outside = (self._arr[:start], self._arr[stop:])
-        return all(np.abs(part).max(initial=0.0) <= tol for part in outside)
+        return not (self._arr[:start].any() or self._arr[stop:].any())
 
     def allclose(self, other: "LaurentPoly", tol: float = 1e-12) -> bool:
         return (self - other).sup_norm() <= tol

@@ -164,6 +164,17 @@ def test_nonpositive_order_refused(problem_file, g_file, capsys, command, order)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["solve", "check", "verify", "invert"])
+def test_bad_tol_refused(problem_file, g_file, capsys, command, tol):
+    # a tolerance must be a finite positive bound; nan, inf and <= 0 pass or fail everything
+    argv = [command, g_file if command == "invert" else problem_file]
+    assert cli.main(argv + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("method", ["poly", "factorization"])
 def test_order_refused_without_window(problem_file, capsys, method):
     # only the truncated route has a window; an ignored --order is an error
@@ -267,6 +278,16 @@ def test_round_trip_bit_exact(tmp_path):
     for d in fx.g.degrees():
         assert np.array_equal(fx.g.coeff(d), g.coeff(d))
     assert metadata == {"seed": 2718}
+
+
+def test_round_trip_small_coefficient(tmp_path):
+    g = LaurentPoly.from_run(0, [[[1.0]], [[1e-15]]])
+    path = tmp_path / "g.json"
+    io_json.write_json(path, io_json.poly_to_json(g))
+    back = io_json.poly_from_json(io_json.read_json(path))
+    assert back.degrees() == (0, 1)
+    assert np.array_equal(back.coeff_run(0, 2), g.coeff_run(0, 2))
+    assert io_json.poly_to_json(back) == io_json.poly_to_json(g)
 
 
 def test_round_trip_report(tmp_path, problem_file, capsys):

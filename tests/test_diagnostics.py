@@ -26,16 +26,18 @@ def test_identities_deg1(deg1_fixture):
 
 
 def test_identities_perturbed_a0_isolated(deg1_fixture):
-    # bumping the cached corner moves only the first residual, linearly
+    # bumping the cached corner moves only the first residual, linearly,
+    # down to bumps far below 1e-14 (abs=0: approx would forgive 1e-12)
     d = deg1_fixture.data
-    bumped = DataSet(
-        alpha=d.alpha, beta=d.beta, gamma=d.gamma, delta=d.delta,
-        a0=d.a0 + 1e-3 * np.eye(1),
-    )
-    rep = hv.check_identities(bumped)
-    assert rep.entry("identity_a").value == pytest.approx(1e-3, rel=1e-9)
-    assert rep.entry("identity_d").value <= 1e-13
-    assert rep.entry("identity_cross").value <= 1e-13
+    for bump, rel in ((1e-3, 1e-9), (5e-15, 0.05)):
+        bumped = DataSet(
+            alpha=d.alpha, beta=d.beta, gamma=d.gamma, delta=d.delta,
+            a0=d.a0 + bump * np.eye(1),
+        )
+        rep = hv.check_identities(bumped)
+        assert rep.entry("identity_a").value == pytest.approx(bump, rel=rel, abs=0)
+        assert rep.entry("identity_d").value <= 1e-13
+        assert rep.entry("identity_cross").value <= 1e-13
 
 
 # -- zero locations ----------------------------------------------------------------

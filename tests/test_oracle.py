@@ -121,6 +121,13 @@ def test_random_fixture_hits_target_norm():
     assert hv.hankel_norm(fx.g) == pytest.approx(0.9, abs=1e-12)
 
 
+def test_random_fixture_tiny_target_norm():
+    # a symbol of Hankel norm 1e-15 is synthesized as it is, not as g = 0
+    fx = hv.random_fixture(p=1, q=1, m=4, target_norm=1e-15, rng_seed=7)
+    assert not fx.g.is_zero
+    assert hv.hankel_norm(fx.g) == pytest.approx(1e-15, rel=1e-12, abs=0)
+
+
 def test_random_fixture_rejects_bad_target():
     with pytest.raises(ValueError):
         hv.random_fixture(p=1, q=1, m=1, target_norm=1.2, rng_seed=0)

@@ -281,9 +281,15 @@ def test_det_matches_cofactor_3x3(rng):
 # -- representation invariants ------------------------------------------------
 
 
-def test_canonical_form_drops_noise():
+def test_canonical_form_keeps_small_trims_zero_ends():
+    # a tiny coefficient is a value like any other; only exact zeros at the ends go
     f = LaurentPoly(1, 1, {0: [[1.0]], 5: [[1e-15]]})
-    assert f.degrees() == (0,)
+    assert f.degrees() == (0, 5)
+    assert f.coeff(5)[0, 0] == 1e-15
+    g = LaurentPoly.from_run(-2, [[[0.0]], [[0.0]], [[1e-300]], [[0.0]], [[2.0]], [[0.0]]])
+    assert (g.lo, g.hi, g.width()) == (0, 2, 3)
+    assert g.degrees() == (0, 2)
+    assert (f - f).is_zero
 
 
 def test_immutability():
