@@ -10,7 +10,6 @@ solvers and a full diagnostic suite for the solvability conditions.
 from .series import (
     LaurentPoly,
     SubspaceTag,
-    as_matrix,
     lp_mul,
     poly_gap,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "OpKind",
     "SolveReport",
     "SubspaceTag",
-    "as_matrix",
     "build",
     "build_m",
     "build_omega",

@@ -18,7 +18,7 @@ the disk to zeros of mu outside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class CheckEntry:
     value: float
     threshold: float
     verdict: str  # 'pass' | 'fail' | 'inconclusive'
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -74,13 +73,9 @@ class CheckReport:
         return "pass"
 
 
-def _residual_entry(name, value, threshold, extra=None):
+def _residual_entry(name, value, threshold):
     verdict = "pass" if value <= threshold else "fail"
-    return CheckEntry(name, float(value), float(threshold), verdict, extra or {})
-
-
-def _maxabs(x) -> float:
-    return float(np.max(np.abs(x))) if np.size(x) else 0.0
+    return CheckEntry(name, float(value), float(threshold), verdict)
 
 
 # -- data identities ---------------------------------------------------------
@@ -102,8 +97,8 @@ def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
     """
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
     entries = _identity_entries(data, tol) + [
-        _residual_entry("a0_hermitian", _maxabs(data.a0 - data.a0.conj().T), tol),
-        _residual_entry("d0_hermitian", _maxabs(data.d0 - data.d0.conj().T), tol),
+        _residual_entry("a0_hermitian", np.abs(data.a0 - data.a0.conj().T).max(), tol),
+        _residual_entry("d0_hermitian", np.abs(data.d0 - data.d0.conj().T).max(), tol),
     ]
     try:
         a0inv, d0inv = data.corner_inverses()
@@ -249,7 +244,6 @@ def _posdef_entry(name, mat):
         -lam_min,
         -POSDEF_REL_TOL * scale,
         "pass" if lam_min > POSDEF_REL_TOL * scale else "fail",
-        {"min_eigenvalue": lam_min},
     )
 
 

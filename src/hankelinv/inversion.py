@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SingularCornerError
-from .series import LaurentPoly, SubspaceTag, as_matrix
+from .series import LaurentPoly, SubspaceTag
 from .structured import OpKind, build, corner_residual
 
 CORNER_COND_LIMIT = 1e12
@@ -56,10 +56,14 @@ class DataSet:
                 raise ShapeError(f"{name} must be {shape}, got {sym.shape}")
             if not sym.in_subspace(tag):
                 raise ShapeError(f"{name} has support outside its subspace")
-        a0 = self.alpha.coeff(0) if self.a0 is None else as_matrix(self.a0, p, p)
-        d0 = self.delta.coeff(0) if self.d0 is None else as_matrix(self.d0, q, q)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "d0", d0)
+        for name, sym, n in (("a0", self.alpha, p), ("d0", self.delta, q)):
+            given = getattr(self, name)
+            corner = sym.coeff(0) if given is None else np.asarray(given, dtype=complex)
+            if corner.shape != (n, n):
+                raise ShapeError(f"{name} must be {(n, n)}, got {corner.shape}")
+            if not np.isfinite(corner).all():
+                raise ValueError(f"{name} entries must be finite")
+            object.__setattr__(self, name, corner)
 
     @property
     def p(self) -> int:
@@ -248,8 +252,8 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     }
 
     # Shifted variant of the exchange identity (one extra backward shift).
-    sp_p = build(OpKind.SHIFT_PLUS, p, N)
-    sm_q = build(OpKind.SHIFT_MINUS, q, N)
+    sp_p = build(OpKind.TOEPLITZ_PLUS, LaurentPoly.single(1, np.eye(p)), N)
+    sm_q = build(OpKind.TOEPLITZ_MINUS, LaurentPoly.single(-1, np.eye(q)), N)
     lhs_shift = np.vstack([tp_as, tp_lbs]) @ sp_p.conj().T @ np.hstack([hp_la, hp_b])
     rhs_shift = np.vstack([hp_gs, hp_lds]) @ sm_q @ np.hstack([tm_lg, tm_d])
     thht_shifted = res(lhs_shift - rhs_shift, plus_p + plus_q, minus_p + minus_q)

@@ -211,16 +211,17 @@ def _jsonable(value):
 
 
 def solve_report_to_json(report) -> dict:
+    """The report's fields for ``dumps``, which converts g and details in one walk."""
     return {
         "method": report.method,
-        "g": poly_to_json(report.g),
-        "residual_identities": list(report.residual_identities),
-        "residual_inclusions": list(report.residual_inclusions),
+        "g": report.g,
+        "residual_identities": report.residual_identities,
+        "residual_inclusions": report.residual_inclusions,
         "cross_method_gap": report.cross_method_gap,
         "accepted": report.accepted,
         "tol": report.tol,
-        "flags": list(report.flags),
-        "details": _jsonable(report.details),
+        "flags": report.flags,
+        "details": report.details,
     }
 
 

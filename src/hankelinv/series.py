@@ -16,10 +16,10 @@ Coefficients go in and come out as such runs of consecutive degrees:
 ``LaurentPoly.from_run(lo, run)`` takes a ``(count, rows, cols)`` array
 whose block k is the coefficient of degree lo + k, and
 ``f.coeff_run(start, count)`` gives the coefficients of degrees start ..
-start + count - 1 as one read-only array, zero outside the support.  The
-degree-keyed constructor ``LaurentPoly(rows, cols, coeffs)`` checks each
-block on its own and is kept for callers that hold a few scattered
-coefficients.
+start + count - 1 as one read-only array, zero outside the support.
+``from_run`` is the one way in: ``zero``, ``constant``, ``identity`` and
+``single`` go through it, and calling ``LaurentPoly(...)`` directly raises
+TypeError.
 
 Both operands of ``+`` and ``-`` are series of one shape, and ``*`` takes
 two series whose shapes compose or a series and a number; nothing else is
@@ -35,24 +35,6 @@ import numbers
 import numpy as np
 
 from .errors import ShapeError
-
-
-def as_matrix(entries, rows=None, cols=None):
-    """Coerce ``entries`` to a finite 2-D complex array.
-
-    Scalars become 1x1 matrices.  If ``rows``/``cols`` are given the shape
-    is checked against them.
-    """
-    mat = np.asarray(entries, dtype=complex)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    if mat.ndim != 2:
-        raise ShapeError(f"expected a matrix, got array of ndim {mat.ndim}")
-    if rows is not None and mat.shape != (rows, cols):
-        raise ShapeError(f"expected shape ({rows}, {cols}), got {mat.shape}")
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
-        raise ValueError("matrix entries must be finite")
-    return mat
 
 
 class SubspaceTag(enum.Enum):
@@ -92,41 +74,24 @@ def _canonicalise(lo, arr):
 class LaurentPoly:
     """A finitely supported matrix Laurent series.
 
-    Parameters
-    ----------
-    rows, cols : int
-        Matrix dimensions of every coefficient.
-    coeffs : mapping int -> array_like, optional
-        Coefficient matrices by degree, each checked on its own and kept
-        as given, however small.  ``from_run`` is the array form of this
-        constructor.
+    Built by ``from_run`` or one of the constructors on top of it (``zero``,
+    ``constant``, ``identity``, ``single``); ``rows`` and ``cols`` are the
+    matrix dimensions of every coefficient.
     """
 
     __slots__ = ("rows", "cols", "_lo", "_arr")
     __array_ufunc__ = None  # numpy arrays and scalars leave operators to this class
 
-    def __init__(self, rows, cols, coeffs=None):
-        rows = int(rows)
-        cols = int(cols)
-        if rows < 1 or cols < 1:
-            raise ShapeError("matrix dimensions must be positive")
-        mats = {int(deg): as_matrix(mat, rows, cols) for deg, mat in (coeffs or {}).items()}
-        lo = min(mats, default=0)
-        arr = np.zeros((max(mats, default=lo - 1) - lo + 1, rows, cols), dtype=complex)
-        for deg, mat in mats.items():
-            arr[deg - lo] = mat
-        self._set(rows, cols, *_canonicalise(lo, arr))
-
-    def _set(self, rows, cols, lo, arr):
-        arr.flags.writeable = False
-        for name, value in (("rows", rows), ("cols", cols), ("_lo", lo), ("_arr", arr)):
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a LaurentPoly with LaurentPoly.from_run(lo, run)")
 
     @classmethod
     def _wrap(cls, rows, cols, lo, arr):
         """A series stored in ``arr`` as it is (already canonical)."""
         self = object.__new__(cls)
-        self._set(rows, cols, lo, arr)
+        arr.flags.writeable = False
+        for name, value in (("rows", rows), ("cols", cols), ("_lo", lo), ("_arr", arr)):
+            object.__setattr__(self, name, value)
         return self
 
     @classmethod
@@ -153,7 +118,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols)
+        return cls.from_run(0, np.zeros((0, rows, cols)))
 
     @classmethod
     def constant(cls, mat):
@@ -166,7 +131,8 @@ class LaurentPoly:
 
     @classmethod
     def single(cls, degree, mat):
-        return cls.from_run(degree, as_matrix(mat)[None])
+        """The series whose only coefficient is the matrix ``mat``, at ``degree``."""
+        return cls.from_run(degree, [mat])
 
     # -- basic queries -----------------------------------------------------
 
@@ -241,9 +207,6 @@ class LaurentPoly:
         start, stop = self._span(tag)
         return not (self._arr[:start].any() or self._arr[stop:].any())
 
-    def allclose(self, other: "LaurentPoly", tol: float = 1e-12) -> bool:
-        return (self - other).sup_norm() <= tol
-
     def __repr__(self):
         if self.is_zero:
             supp = "zero"
@@ -307,9 +270,10 @@ class LaurentPoly:
     def det(self) -> "LaurentPoly":
         """Determinant as a 1x1 Laurent series.
 
-        Computed by evaluation at n*(hi-lo)+1 roots of unity and exact
-        trigonometric interpolation; the support of det f lies in
-        [n*lo, n*hi].
+        With f = z**lo p, det f = z**(n*lo) det p, and det p is a polynomial
+        of degree at most n*(hi-lo).  An inverse FFT evaluates p at the
+        npts = n*(hi-lo) + 1 roots of unity, and the FFT of the pointwise
+        determinants interpolates det p exactly.
         """
         if self.rows != self.cols:
             raise ShapeError("determinant requires a square symbol")
@@ -318,20 +282,10 @@ class LaurentPoly:
             return LaurentPoly.zero(1, 1)
         if n == 1:
             return self
-        lo, hi = self.lo, self.hi
-        npts = n * (hi - lo) + 1
-        k = np.arange(npts)
-        powers = _unit_powers(npts, k, np.arange(lo, hi + 1))
-        vals = np.linalg.det(np.einsum("pk,krc->prc", powers, self._arr))
-        # v_k = sum_j c_{j + n*lo} z_k**j  with z_k the npts-th roots of unity
-        shifted = vals * _unit_powers(npts, k, -n * lo)
-        coeffs = np.fft.fft(shifted) / npts
-        return LaurentPoly._make(1, 1, n * lo, coeffs.reshape(npts, 1, 1))
-
-
-def _unit_powers(npts, k, degrees):
-    """z_k**d for z_k = exp(2 pi i k / npts), with the exponent reduced mod npts."""
-    return np.exp(2j * np.pi * (np.multiply.outer(k, degrees) % npts) / npts)
+        npts = n * (len(self._arr) - 1) + 1
+        vals = np.linalg.det(npts * np.fft.ifft(self._arr, n=npts, axis=0))
+        coeffs = np.fft.fft(vals) / npts
+        return LaurentPoly._make(1, 1, n * self._lo, coeffs.reshape(npts, 1, 1))
 
 
 # -- functional aliases ----------------------------------------------------

@@ -232,16 +232,12 @@ def _hankel_window_stats(mat, p, q, n_blocks):
     """
     N = n_blocks
     view = mat.reshape(N, p, N, q).transpose(0, 2, 1, 3)  # view[i, j] is block (i, j)
-    defect = 0.0
-    run = np.empty((2 * N - 1, p, q), dtype=complex)
-    for off in range(-(N - 1), N):
-        # the blocks (i, j) with i - j = off, top to bottom
-        stack = np.moveaxis(np.diagonal(view, offset=-off), -1, 0)
-        mean = stack.mean(axis=0)
-        if len(stack) > 1:
-            defect = max(defect, float(np.max(np.abs(stack - mean))))
-        run[off + N - 1] = mean
-    return run, defect
+    i = np.arange(N)
+    diag = i[:, None] - i + N - 1  # run index of block (i, j)
+    run = np.zeros((2 * N - 1, p, q), dtype=complex)
+    np.add.at(run, diag, view)
+    run /= (N - np.abs(np.arange(1 - N, N)))[:, None, None]
+    return run, float(np.max(np.abs(view - run[diag])))
 
 
 def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TOL) -> SolveReport:

@@ -28,8 +28,6 @@ class OpKind(enum.Enum):
     TOEPLITZ_MINUS = "toeplitz_minus"
     HANKEL_PLUS = "hankel_plus"
     HANKEL_MINUS = "hankel_minus"
-    SHIFT_PLUS = "shift_plus"
-    SHIFT_MINUS = "shift_minus"
 
 
 def _block_toeplitz(seq, n_cols):
@@ -44,20 +42,15 @@ def _block_toeplitz(seq, n_cols):
 
 
 def build(kind: OpKind, symbol, n_blocks: int) -> np.ndarray:
-    """The dense N-block window of a structured operator.
+    """The dense N-block window of a structured operator of a LaurentPoly symbol.
 
-    ``symbol`` is a LaurentPoly for the Toeplitz/Hankel kinds and a block
-    dimension (int) for the shifts.  A window narrower than the symbol
-    support is not an error; its exact margin is just 0.
+    The block shifts are Toeplitz windows too: S+ = T+(z I) and S- = T-(I/z).
+    A window narrower than the symbol support is not an error; its exact
+    margin is just 0.
     """
     N = int(n_blocks)
     if N < 1:
         raise ShapeError("window must retain at least one block")
-
-    if kind in (OpKind.SHIFT_PLUS, OpKind.SHIFT_MINUS):
-        n = int(symbol)
-        # S+ puts I on the block subdiagonal, S- on the block superdiagonal
-        return np.eye(N * n, k=-n if kind is OpKind.SHIFT_PLUS else n, dtype=complex)
 
     if kind is OpKind.TOEPLITZ_PLUS or kind is OpKind.TOEPLITZ_MINUS:
         anchor = 0

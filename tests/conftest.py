@@ -78,12 +78,12 @@ def rng():
 
 
 def random_poly(rng, rows, cols, degrees, scale=1.0):
-    return hv.LaurentPoly(
-        rows,
-        cols,
-        {
-            d: scale
-            * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-            for d in degrees
-        },
-    )
+    """Complex Gaussian coefficients at ``degrees``, drawn in the order given."""
+    degrees = list(degrees)
+    lo = min(degrees, default=0)
+    run = np.zeros((max(degrees, default=lo - 1) - lo + 1, rows, cols), dtype=complex)
+    for d in degrees:
+        run[d - lo] = scale * (
+            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        )
+    return hv.LaurentPoly.from_run(lo, run)

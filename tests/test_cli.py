@@ -135,7 +135,7 @@ def test_check_trivial(tmp_path):
 
 def test_check_failing_data(tmp_path):
     data = hv.DataSet(
-        alpha=LaurentPoly(1, 1, {0: [[1.0]], 1: [[-2.0]]}),
+        alpha=LaurentPoly.from_run(0, [[[1.0]], [[-2.0]]]),
         beta=LaurentPoly.zero(1, 1),
         gamma=LaurentPoly.zero(1, 1),
         delta=LaurentPoly.identity(1),
@@ -191,7 +191,7 @@ def test_order_refused_without_window(problem_file, capsys, method):
 def test_invert_emits_strict_json(tmp_path, capsys):
     # 0.1 + 0.2 z^8 at order 10 leaves undefined residuals, written as null
     gpath = tmp_path / "g8.json"
-    g = LaurentPoly(1, 1, {0: [[0.1]], 8: [[0.2]]})
+    g = LaurentPoly.single(0, [[0.1]]) + LaurentPoly.single(8, [[0.2]])
     io_json.write_json(gpath, io_json.poly_to_json(g))
     assert cli.main(["invert", str(gpath), "--order", "10"]) == 6
 
@@ -208,10 +208,8 @@ def test_invert_builds_each_window_once(monkeypatch, tmp_path):
     original = structured.build
 
     def recording(kind, symbol, n_blocks):
-        key = symbol
-        if isinstance(symbol, LaurentPoly):
-            degs = symbol.degrees()
-            key = (symbol.shape, degs, b"".join(symbol.coeff(d).tobytes() for d in degs))
+        degs = symbol.degrees()
+        key = (symbol.shape, degs, b"".join(symbol.coeff(d).tobytes() for d in degs))
         calls.append((kind, key, n_blocks))
         return original(kind, symbol, n_blocks)
 
@@ -219,7 +217,8 @@ def test_invert_builds_each_window_once(monkeypatch, tmp_path):
         if name.startswith("hankelinv") and getattr(module, "build", None) is original:
             monkeypatch.setattr(module, "build", recording)
     gpath = tmp_path / "g2.json"
-    io_json.write_json(gpath, io_json.poly_to_json(LaurentPoly(1, 1, {0: [[0.3]], 2: [[0.2]]})))
+    g = LaurentPoly.single(0, [[0.3]]) + LaurentPoly.single(2, [[0.2]])
+    io_json.write_json(gpath, io_json.poly_to_json(g))
     assert cli.main(["invert", str(gpath)]) == 0
     assert calls and len(set(calls)) == len(calls)
 

@@ -52,7 +52,7 @@ def test_zeros_identity_passes():
 
 def test_zeros_root_inside_fails():
     data = DataSet(
-        alpha=LaurentPoly(1, 1, {0: [[1.0]], 1: [[-2.0]]}),  # zero at 1/2
+        alpha=LaurentPoly.from_run(0, [[[1.0]], [[-2.0]]]),  # zero at 1/2
         beta=LaurentPoly.zero(1, 1),
         gamma=LaurentPoly.zero(1, 1),
         delta=LaurentPoly.identity(1),
@@ -69,7 +69,7 @@ def test_zeros_root_inside_fails():
 
 def test_zeros_circle_adjacent_inconclusive():
     data = DataSet(
-        alpha=LaurentPoly(1, 1, {0: [[1.0]], 1: [[-1.0]]}),  # zero on the circle
+        alpha=LaurentPoly.from_run(0, [[[1.0]], [[-1.0]]]),  # zero on the circle
         beta=LaurentPoly.zero(1, 1),
         gamma=LaurentPoly.zero(1, 1),
         delta=LaurentPoly.identity(1),
@@ -86,7 +86,7 @@ def test_zeros_delta_reflected():
         alpha=LaurentPoly.identity(1),
         beta=LaurentPoly.zero(1, 1),
         gamma=LaurentPoly.zero(1, 1),
-        delta=LaurentPoly(1, 1, {0: [[1.0]], -1: [[-2.0]]}),  # det zero at |z| = 2
+        delta=LaurentPoly.from_run(-1, [[[-2.0]], [[1.0]]]),  # det zero at |z| = 2
     )
     rep = hv.check_zero_locations(data)
     assert rep.entry("delta_det_zeros").verdict == "fail"
@@ -139,7 +139,7 @@ def test_contraction_trivial():
 def test_contraction_deg1(deg1_fixture):
     rep = hv.check_strict_contraction(deg1_fixture.data, deg1_fixture.g)
     assert rep.passed
-    assert rep.entry("a0_positive").extra["min_eigenvalue"] == pytest.approx(4.0 / 3.0)
+    assert rep.entry("a0_positive").value == pytest.approx(-4.0 / 3.0)
     assert rep.entry("hankel_norm").value == pytest.approx(0.5)
 
 

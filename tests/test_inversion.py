@@ -15,7 +15,7 @@ from support import trivial_data
 
 
 def test_dataset_validates_tags():
-    bad_alpha = LaurentPoly(1, 1, {-1: [[1.0]], 0: [[1.0]]})
+    bad_alpha = LaurentPoly.from_run(-1, [[[1.0]], [[1.0]]])
     with pytest.raises(ShapeError):
         DataSet(
             alpha=bad_alpha,
@@ -30,6 +30,17 @@ def test_dataset_caches_corners(deg1_fixture):
     assert np.allclose(d.a0, d.alpha.coeff(0))
     assert np.allclose(d.d0, d.delta.coeff(0))
     assert d.m == 1
+
+
+def test_dataset_corner_override_checked(deg1_fixture):
+    # an a0 or d0 override is a finite matrix of the corner's shape, never a number
+    d = deg1_fixture.data
+    symbols = dict(alpha=d.alpha, beta=d.beta, gamma=d.gamma, delta=d.delta)
+    for bad in (0.5, np.eye(2), [[np.nan]]):
+        with pytest.raises(ValueError):
+            DataSet(**symbols, a0=bad)
+        with pytest.raises(ValueError):
+            DataSet(**symbols, d0=bad)
 
 
 def test_dataset_singular_corner():
@@ -92,9 +103,9 @@ def test_window_shift_identities(rng, p, q, N):
     beta = random_poly(rng, p, q, range(0, N))
     gamma = random_poly(rng, q, p, range(1 - N, 1))
     delta = random_poly(rng, q, q, range(1 - N, 1))
-    sp = hv.build(hv.OpKind.SHIFT_PLUS, p, N)
-    sm = hv.build(hv.OpKind.SHIFT_MINUS, q, N)
     tp, tm = hv.OpKind.TOEPLITZ_PLUS, hv.OpKind.TOEPLITZ_MINUS
+    sp = hv.build(tp, LaurentPoly.single(1, np.eye(p)), N)
+    sm = hv.build(tm, LaurentPoly.single(-1, np.eye(q)), N)
     hp, hm = hv.OpKind.HANKEL_PLUS, hv.OpKind.HANKEL_MINUS
     pairs = [
         (sp @ hv.build(tp, beta, N), hv.build(tp, beta.shifted(1), N)),
@@ -110,12 +121,12 @@ def test_m_hermitian_blocks_for_hermitian_corners(rng):
     # no consistency required: Hermitian a0, d0 suffice
     herm = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     herm = 0.1 * (herm + herm.conj().T) + np.eye(2)
-    alpha = LaurentPoly(2, 2, {0: herm, 1: 0.3 * rng.standard_normal((2, 2))})
+    alpha = LaurentPoly.from_run(0, [herm, 0.3 * rng.standard_normal((2, 2))])
     beta = random_poly(rng, 2, 2, (0, 1), scale=0.3)
     gamma = random_poly(rng, 2, 2, (-1, 0), scale=0.3)
     dherm = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     dherm = 0.1 * (dherm + dherm.conj().T) + np.eye(2)
-    delta = LaurentPoly(2, 2, {0: dherm, -1: 0.3 * rng.standard_normal((2, 2))})
+    delta = LaurentPoly.from_run(-1, [0.3 * rng.standard_normal((2, 2)), dherm])
     data = DataSet(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
     m = hv.build_m(data, 6)
     m11, m22 = m[:12, :12], m[12:, 12:]

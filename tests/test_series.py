@@ -19,13 +19,14 @@ def polys(draw, rows=None, cols=None, min_deg=-2, max_deg=2):
     rows = rows if rows is not None else draw(st.integers(1, 2))
     cols = cols if cols is not None else draw(st.integers(1, 2))
     degs = draw(st.lists(st.integers(min_deg, max_deg), max_size=3, unique=True))
-    coeffs = {}
+    lo = min(degs, default=0)
+    run = np.zeros((max(degs, default=lo - 1) - lo + 1, rows, cols), dtype=complex)
     for d in degs:
         flat = draw(
             st.lists(st.tuples(finite, finite), min_size=rows * cols, max_size=rows * cols)
         )
-        coeffs[d] = np.array([complex(a, b) for a, b in flat]).reshape(rows, cols)
-    return LaurentPoly(rows, cols, coeffs)
+        run[d - lo] = np.array([complex(a, b) for a, b in flat]).reshape(rows, cols)
+    return LaurentPoly.from_run(lo, run)
 
 
 @st.composite
@@ -44,8 +45,8 @@ def test_mul_identity_symbol(rng):
 
 
 def test_mul_scalar_expansion():
-    one_plus = LaurentPoly(1, 1, {0: [[1]], 1: [[1]]})
-    one_minus = LaurentPoly(1, 1, {0: [[1]], 1: [[-1]]})
+    one_plus = LaurentPoly.from_run(0, [[[1]], [[1]]])
+    one_minus = LaurentPoly.from_run(0, [[[1]], [[-1]]])
     prod = one_plus * one_minus
     assert prod.degrees() == (0, 2)
     assert prod.coeff(0)[0, 0] == 1
@@ -91,11 +92,13 @@ def test_mul_associative(chain):
 
 def reference_mul(f, g):
     """Double-loop Cauchy convolution over the stored degrees."""
-    acc = {}
+    degs = [df + dg for df in f.degrees() for dg in g.degrees()]
+    lo = min(degs, default=0)
+    run = np.zeros((max(degs, default=lo - 1) - lo + 1, f.rows, g.cols), dtype=complex)
     for df in f.degrees():
         for dg in g.degrees():
-            acc[df + dg] = acc.get(df + dg, 0) + f.coeff(df) @ g.coeff(dg)
-    return LaurentPoly(f.rows, g.cols, acc)
+            run[df + dg - lo] += f.coeff(df) @ g.coeff(dg)
+    return LaurentPoly.from_run(lo, run)
 
 
 @st.composite
@@ -186,7 +189,7 @@ def test_project_plus_fixed_point(rng):
 
 
 def test_project_example():
-    f = LaurentPoly(1, 1, {-1: [[1]], 0: [[2]], 1: [[1]]})
+    f = LaurentPoly.from_run(-1, [[[1]], [[2]], [[1]]])
     plus = f.project(SubspaceTag.PLUS)
     assert plus.degrees() == (0, 1)
 
@@ -242,21 +245,17 @@ def test_det_scalar_passthrough(rng):
 def test_det_block_diagonal(rng):
     f1 = random_poly(rng, 1, 1, (0, 1))
     f2 = random_poly(rng, 1, 1, (-1, 0))
-    diag = LaurentPoly(
-        2,
-        2,
-        {
-            d: np.diag([f1.coeff(d)[0, 0], f2.coeff(d)[0, 0]])
-            for d in set(f1.degrees()) | set(f2.degrees())
-        },
-    )
+    run = np.zeros((3, 2, 2), dtype=complex)  # degrees -1..1
+    run[:, 0, 0] = f1.coeff_run(-1, 3)[:, 0, 0]
+    run[:, 1, 1] = f2.coeff_run(-1, 3)[:, 0, 0]
+    diag = LaurentPoly.from_run(-1, run)
     assert hv.poly_gap(diag.det(), f1 * f2) < 1e-12
 
 
 def test_det_antidiagonal_example():
-    f = LaurentPoly(2, 2, {0: np.eye(2), 1: [[0, 1], [1, 0]]})
+    f = LaurentPoly.from_run(0, [np.eye(2), [[0, 1], [1, 0]]])
     det = f.det()
-    expect = LaurentPoly(1, 1, {0: [[1]], 2: [[-1]]})
+    expect = LaurentPoly.single(0, [[1]]) + LaurentPoly.single(2, [[-1]])
     assert hv.poly_gap(det, expect) < 1e-12
 
 
@@ -283,13 +282,24 @@ def test_det_matches_cofactor_3x3(rng):
 
 def test_canonical_form_keeps_small_trims_zero_ends():
     # a tiny coefficient is a value like any other; only exact zeros at the ends go
-    f = LaurentPoly(1, 1, {0: [[1.0]], 5: [[1e-15]]})
+    f = LaurentPoly.single(0, [[1.0]]) + LaurentPoly.single(5, [[1e-15]])
     assert f.degrees() == (0, 5)
     assert f.coeff(5)[0, 0] == 1e-15
     g = LaurentPoly.from_run(-2, [[[0.0]], [[0.0]], [[1e-300]], [[0.0]], [[2.0]], [[0.0]]])
     assert (g.lo, g.hi, g.width()) == (0, 2, 3)
     assert g.degrees() == (0, 2)
     assert (f - f).is_zero
+
+
+def test_direct_construction_refused():
+    with pytest.raises(TypeError, match="from_run"):
+        LaurentPoly(1, 1, {})
+
+
+def test_single_takes_a_matrix():
+    # a number is not promoted to a 1x1 coefficient
+    with pytest.raises(ShapeError):
+        LaurentPoly.single(0, 0.5)
 
 
 def test_immutability():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import DataSet, LaurentPoly
+from hankelinv import DataSet, LaurentPoly, solver
 from hankelinv.errors import (
     DataIdentityError,
     FactorizationUnavailableError,
@@ -248,6 +248,31 @@ def test_truncated_refuses_empty_window(deg1_fixture):
             hv.solve_truncated(deg1_fixture.data, n_blocks=n_blocks)
 
 
+def _hankel_stats_by_diagonal(mat, p, q, N):
+    """Mean block and spread of each block diagonal, one diagonal at a time."""
+    view = mat.reshape(N, p, N, q).transpose(0, 2, 1, 3)
+    defect = 0.0
+    run = np.empty((2 * N - 1, p, q), dtype=complex)
+    for off in range(-(N - 1), N):
+        stack = np.moveaxis(np.diagonal(view, offset=-off), -1, 0)
+        mean = stack.mean(axis=0)
+        if len(stack) > 1:
+            defect = max(defect, float(np.max(np.abs(stack - mean))))
+        run[off + N - 1] = mean
+    return run, defect
+
+
+@pytest.mark.parametrize("N", [1, 2, 25, 101])
+def test_hankel_window_stats_match_diagonal_loop(rng, N):
+    p, q = 2, 3
+    mat = rng.standard_normal((N * p, N * q)) + 1j * rng.standard_normal((N * p, N * q))
+    run, defect = solver._hankel_window_stats(mat, p, q, N)
+    ref_run, ref_defect = _hankel_stats_by_diagonal(mat, p, q, N)
+    assert np.max(np.abs(run - ref_run)) <= 1e-15 * np.max(np.abs(ref_run))
+    assert abs(defect - ref_defect) <= 1e-15 * ref_defect
+    assert (defect > 0) == (N > 1)
+
+
 def corner_solve_data(p, q, m, norm, seed):
     """g of Hankel norm ``norm`` and its data from a dense corner solve.
 
@@ -315,7 +340,7 @@ def test_factorization_deg1(deg1_fixture):
 def test_factorization_unavailable_path():
     # alpha = 1 - 2z has its determinant zero inside the disk
     data = DataSet(
-        alpha=LaurentPoly(1, 1, {0: [[1.0]], 1: [[-2.0]]}),
+        alpha=LaurentPoly.from_run(0, [[[1.0]], [[-2.0]]]),
         beta=LaurentPoly.zero(1, 1),
         gamma=LaurentPoly.zero(1, 1),
         delta=LaurentPoly.identity(1),
@@ -328,10 +353,10 @@ def test_factorization_unavailable_path():
 
 def test_factorization_no_paths():
     data = DataSet(
-        alpha=LaurentPoly(1, 1, {0: [[1.0]], 1: [[-2.0]]}),
+        alpha=LaurentPoly.from_run(0, [[[1.0]], [[-2.0]]]),
         beta=LaurentPoly.zero(1, 1),
         gamma=LaurentPoly.zero(1, 1),
-        delta=LaurentPoly(1, 1, {0: [[1.0]], -1: [[-2.0]]}),
+        delta=LaurentPoly.from_run(-1, [[[-2.0]], [[1.0]]]),
     )
     with pytest.raises(FactorizationUnavailableError):
         hv.solve_factorization(data, tol=1e6)

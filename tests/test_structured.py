@@ -44,15 +44,18 @@ def test_build_hankel_minus_corner():
 
 
 def test_build_shifts():
-    sp = hv.build(OpKind.SHIFT_PLUS, 1, 3)
-    sm = hv.build(OpKind.SHIFT_MINUS, 1, 3)
-    assert np.allclose(sp, np.diag(np.ones(2), -1))
-    assert np.allclose(sm, np.diag(np.ones(2), 1))
+    # S+ = T+(z I) puts I on the block subdiagonal, S- = T-(I/z) on the superdiagonal
+    for n in (1, 3):
+        for N in (1, 3, 5):
+            sp = hv.build(OpKind.TOEPLITZ_PLUS, LaurentPoly.single(1, np.eye(n)), N)
+            sm = hv.build(OpKind.TOEPLITZ_MINUS, LaurentPoly.single(-1, np.eye(n)), N)
+            assert np.array_equal(sp, np.eye(N * n, k=-n))
+            assert np.array_equal(sm, np.eye(N * n, k=n))
 
 
 def test_build_margin_flags():
     # a window narrower than the support is built, with no exact margin
-    sym = LaurentPoly(1, 1, {k: [[1.0]] for k in range(5)})
+    sym = LaurentPoly.from_run(0, np.ones((5, 1, 1)))
     dense = hv.build(OpKind.TOEPLITZ_PLUS, sym, 3)
     assert np.array_equal(dense, np.tril(np.ones((3, 3))))
     assert margin_for(3, sym) == 0
