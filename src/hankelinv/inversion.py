@@ -237,10 +237,9 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
         return corner_residual(diff, rows, cols, N, margin_pair)
 
     # Exchange identities: T+(rho*) H+(...) = H+(...) T-(...) in block form.
-    tp_as = build(OpKind.TOEPLITZ_PLUS, al.adjoint(), N)
-    tp_lbs = build(OpKind.TOEPLITZ_PLUS, be.adjoint().shifted(-1), N)
-    hp_gs = build(OpKind.HANKEL_PLUS, ga.adjoint(), N)
-    hp_lds = build(OpKind.HANKEL_PLUS, de.adjoint().shifted(-1), N)
+    # T+(f*) = T+(f)* and H+(f*) = H-(f)* hold window for window.
+    tp_as, tp_lbs = tp_a.conj().T, tp_lb.conj().T
+    hp_gs, hp_lds = hm_g.conj().T, hm_ld.conj().T
 
     plus_p, plus_q = [("plus", p)], [("plus", q)]
     minus_p, minus_q = [("minus", p)], [("minus", q)]

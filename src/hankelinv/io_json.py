@@ -42,7 +42,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 

@@ -102,6 +102,10 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through from_run, never through setattr
+        return (LaurentPoly.from_run, (self._lo, self._arr))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -1,9 +1,8 @@
 """Recovery of the analytic symbol g from a data set.
 
-Two independent computations stand under every polynomial-side answer:
-the b-side solve (a unit triangular block Toeplitz solve driven by the
-delta coefficients, followed by the beta product) and the c-side solve
-(an upper triangular system driven by the alpha and gamma coefficients).
+Two independent computations stand under every polynomial-side answer,
+each one lower triangular block Toeplitz solve of one inclusion: the
+b-side solves (g delta + beta)_+ = 0, the c-side (g* alpha + gamma)_- = 0.
 
 * ``solve_polynomial`` - exact closed-form coefficients from the b-side,
   with the gap to the c-side reported;
@@ -193,15 +192,16 @@ def _c_side_blocks(data: DataSet):
 
 
 def _b_side_blocks(data: DataSet):
-    """Coefficients from the d-driven unit solve followed by the b product."""
-    m, q = data.m, data.q
-    dcols = data.delta.coeff_run(-m, m + 1)[::-1]
-    rhs = np.zeros((m + 1, q, q), dtype=complex)
-    rhs[0] = np.eye(q)
-    e = tri_toeplitz_solve(dcols, rhs)  # e[s] solves the unit system at anti-diagonal position s
-    # block k is -sum_s beta_{k+s} e[s]; the run's m zero blocks past beta_m end each sum
-    win = np.lib.stride_tricks.sliding_window_view(data.beta.coeff_run(0, 2 * m + 1), m + 1, axis=0)
-    return -np.einsum("kpqs,sqr->kpr", win, e)
+    """Coefficients from (g delta + beta)_+ = 0, upper triangular in g.
+
+    Transposed and read bottom to top, it is the lower system with first
+    block column delta_0^T, ..., delta_{-m}^T, driven by beta's degrees m,
+    ..., 0; its solution comes out highest degree first.
+    """
+    m = data.m
+    dcols = data.delta.coeff_run(-m, m + 1)[::-1].transpose(0, 2, 1)
+    rhs = -data.beta.coeff_run(0, m + 1)[::-1].transpose(0, 2, 1)
+    return tri_toeplitz_solve(dcols, rhs)[::-1].transpose(0, 2, 1)
 
 
 def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -335,9 +335,9 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     """Analytic-factorization solve; each side gated by zero locations.
 
     The alpha path computes -(alpha^-* gamma*)_+, which is the c-side
-    solve of the polynomial route; the delta path is its b-side solve, the
-    d-driven unit solve followed by the b product.  When both paths clear
-    their determinant gate their gap is reported.
+    solve of the polynomial route; the delta path is its b-side solve of
+    (g delta + beta)_+ = 0.  Each is one lower triangular solve.  When both
+    paths clear their determinant gate their gap is reported.
     """
     data.corner_inverses()
     flags = []
@@ -376,11 +376,10 @@ def solve_dual_phi(data: DataSet, tol: float = DEFAULT_TOL) -> LaurentPoly:
     """The unique minus-side polynomial paired with the b/d data.
 
     phi satisfies delta + phi beta - e_q in the strictly-plus class and
-    phi* delta + beta in the strictly-minus class.  Its system matrix, the
-    lower triangular Toeplitz matrix of the adjoint delta coefficients, is
-    the adjoint of the b-side system, so phi = g* for the b-side g exactly,
-    for any data with d0 invertible.  Refuses when the second data identity
-    is violated beyond the refusal threshold.
+    phi* delta + beta in the strictly-minus class.  With phi* = g the
+    second is the b-side system (g delta + beta)_+ = 0, so phi = g* for the
+    b-side g exactly, for any data with d0 invertible.  Refuses when the
+    second data identity is violated beyond the refusal threshold.
     """
     data.corner_inverses()
     res = identity_residual_triple(data)

@@ -124,6 +124,21 @@ def test_solve_missing_file(tmp_path):
     assert cli.main(["solve", str(tmp_path / "nope.json")]) == 2
 
 
+def test_undecodable_json_refused(tmp_path, problem_file, capsys):
+    # bytes that are not UTF-8, JSON nested deeper than the parser's stack,
+    # and an integer past Python's digit limit for int conversion
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text("[" + "1" * 5000 + "]")
+    for path in (str(bad), str(deep), str(long_int)):
+        assert cli.main(["check", path]) == 2
+        assert cli.main(["verify", problem_file, path]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+
 # -- check / verify / invert ------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Laurent series arithmetic: worked examples and algebraic properties."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -308,6 +311,30 @@ def test_immutability():
         f.rows = 3
     with pytest.raises(ValueError):
         f.coeff(0)[0, 0] = 5.0
+
+
+def test_copy_and_pickle_round_trip(rng):
+    f = random_poly(rng, 2, 3, (-2, 0, 1))
+    dumps = [lambda x, proto=proto: pickle.loads(pickle.dumps(x, protocol=proto))
+             for proto in (0, pickle.HIGHEST_PROTOCOL)]
+    for series in (f, LaurentPoly.zero(2, 3)):
+        lo, width = (0, 0) if series.is_zero else (series.lo, series.width())
+        for clone in [copy.copy, copy.deepcopy] + dumps:
+            back = clone(series)
+            assert back.shape == series.shape and back.width() == width
+            if width:
+                assert back.lo == lo == -2
+            run = back.coeff_run(lo, width)
+            assert np.array_equal(run, series.coeff_run(lo, width)) and not run.flags.writeable
+            assert hv.poly_gap(back, series) == 0.0
+
+
+def test_fixture_copies_solve():
+    fx = hv.random_fixture(2, 2, 3, 0.8, 5)
+    want = hv.solve_polynomial(fx.data).g
+    for back in (copy.deepcopy(fx), pickle.loads(pickle.dumps(fx))):
+        assert hv.poly_gap(back.g, fx.g) == 0.0
+        assert hv.poly_gap(hv.solve_polynomial(back.data).g, want) == 0.0
 
 
 def test_derived_coefficients_read_only(rng):

@@ -183,6 +183,33 @@ def test_polynomial_degree_bound():
     assert rep.g.hi <= fx.data.m
 
 
+@pytest.mark.parametrize("p,q,m", [(1, 1, 0), (2, 3, 4), (3, 2, 70)])
+def test_b_side_vs_dense_upper_system(rng, p, q, m):
+    # (g delta + beta)_+ = 0 on data that satisfy no identity: block k reads
+    # sum_{j>=k} g_j delta_{k-j} = -beta_k, so G D = -B for the row of
+    # coefficients G and D[j, k] = delta_{k-j}; m = 70 spans two chunks
+    for _ in range(20):
+        dblocks = 0.4 * 0.7 ** np.arange(m + 1)[:, None, None] * (
+            rng.standard_normal((m + 1, q, q)) + 1j * rng.standard_normal((m + 1, q, q)))
+        dblocks[0] = np.eye(q) + 0.3 * rng.standard_normal((q, q))
+        dense = np.zeros(((m + 1) * q,) * 2, dtype=complex)
+        for k in range(m + 1):
+            for j in range(k, m + 1):
+                dense[j * q : (j + 1) * q, k * q : (k + 1) * q] = dblocks[j - k]
+        if np.linalg.cond(dense) <= TRI_COND_LIMIT:
+            break
+    assert np.linalg.cond(dense) <= TRI_COND_LIMIT
+    beta = rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))
+    data = DataSet(alpha=LaurentPoly.identity(p), beta=LaurentPoly.from_run(0, beta),
+                   gamma=LaurentPoly.zero(q, p), delta=LaurentPoly.from_run(-m, dblocks[::-1]))
+    got = solver._b_side_blocks(data)
+    rhs = -beta.transpose(1, 0, 2).reshape(p, (m + 1) * q)
+    want = np.linalg.solve(dense.T, rhs.T).T.reshape(p, m + 1, q).transpose(1, 0, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    g = LaurentPoly.from_run(0, got)
+    assert hv.verify_solution(data, g).entry("g_delta_beta").value <= 1e-12 * np.max(np.abs(beta))
+
+
 # -- truncated route --------------------------------------------------------------
 
 

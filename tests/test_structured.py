@@ -191,19 +191,17 @@ def test_hankel_shift_intertwine(rng):
 
 
 def test_adjoint_relations(rng):
-    rho = random_poly(rng, 2, 3, (-1, 0, 2))
-    N = 6
-    tp = hv.build(OpKind.TOEPLITZ_PLUS, rho, N)
-    tp_star = hv.build(OpKind.TOEPLITZ_PLUS, rho.adjoint(), N)
-    assert np.allclose(tp.conj().T, tp_star)
-
-    tm = hv.build(OpKind.TOEPLITZ_MINUS, rho, N)
-    tm_star = hv.build(OpKind.TOEPLITZ_MINUS, rho.adjoint(), N)
-    assert np.allclose(tm.conj().T, tm_star)
-
-    hp = hv.build(OpKind.HANKEL_PLUS, rho, N)
-    hm_star = hv.build(OpKind.HANKEL_MINUS, rho.adjoint(), N)
-    assert np.allclose(hp.conj().T, hm_star)
+    # T+(f*) = T+(f)*, T-(f*) = T-(f)*, H+(f*) = H-(f)* and H-(f*) = H+(f)*
+    # hold entry for entry, also on windows narrower than the support
+    tp, tm, hp, hm = OpKind.TOEPLITZ_PLUS, OpKind.TOEPLITZ_MINUS, OpKind.HANKEL_PLUS, OpKind.HANKEL_MINUS
+    pairs = [(tp, tp), (tm, tm), (hp, hm), (hm, hp)]
+    for degrees in ((0, 1, 3), (1, 2, 5), (-3, -1, 0, 2), (-1, 0, 2)):
+        for rows, cols in ((1, 1), (2, 3), (3, 2), (2, 2)):
+            f = random_poly(rng, rows, cols, degrees)
+            for N in (1, 2, 3, 6, 9, 20):
+                for star_kind, kind in pairs:
+                    got = hv.build(star_kind, f.adjoint(), N)
+                    assert np.array_equal(got, hv.build(kind, f, N).conj().T), (degrees, rows, cols, N)
 
 
 def test_diagonal_absorption(rng):
