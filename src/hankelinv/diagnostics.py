@@ -5,6 +5,11 @@ a pass/fail/inconclusive verdict each.  A verdict is ``pass`` exactly when
 value <= threshold; ``inconclusive`` is reserved for empty margins,
 circle-adjacent zeros and checks whose precondition failed.
 
+Both identity triples are block products of the rows A = [alpha beta] and
+C = [gamma delta] of X (``DataSet.rows``): X* J X = diag(a0, -d0) and
+X D X* = J, with J = diag(I, -I) and D = diag(a0^-1, -d0^-1).  An analytic
+g is verified on (A + g C - [I 0])_+ = 0 and (g* A + C - [0 I])_- = 0.
+
 The zero-location check finds no zero.  It asks only whether every zero
 of a determinant lies outside a circle of radius r, and answers by the
 Schur-Cohn recursion on the coefficients: a polynomial a of degree n has
@@ -90,12 +95,9 @@ def _identity_entries(data: DataSet, tol: float) -> list:
 def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the three data identities and their dual forms.
 
-    The direct triple compares alpha* alpha - gamma* gamma against a0 and
-    so on; the dual triple is the equivalent set obtained by conjugating
-    with the corner matrices, which vanishes together with the direct one
-    whenever a0 and d0 are invertible.
+    The dual triple A D A* - I, C D C* + I, A D C* vanishes with the
+    direct one whenever a0 and d0 are invertible.
     """
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
     entries = _identity_entries(data, tol) + [
         _residual_entry("a0_hermitian", np.abs(data.a0 - data.a0.conj().T).max(), tol),
         _residual_entry("d0_hermitian", np.abs(data.d0 - data.d0.conj().T).max(), tol),
@@ -105,13 +107,13 @@ def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
     except SingularCornerError:
         entries.append(CheckEntry("dual_triple", float("nan"), tol, "inconclusive"))
         return CheckReport(entries)
-    ai = LaurentPoly.constant(a0inv)
-    di = LaurentPoly.constant(d0inv)
-    e_p = LaurentPoly.identity(data.p)
-    e_q = LaurentPoly.identity(data.q)
-    s1 = (al * ai * al.adjoint() - be * di * be.adjoint() - e_p).sup_norm()
-    s2 = (de * di * de.adjoint() - ga * ai * ga.adjoint() - e_q).sup_norm()
-    s3 = (al * ai * ga.adjoint() - be * di * de.adjoint()).sup_norm()
+    p, q = data.p, data.q
+    d = LaurentPoly.constant(np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]]))
+    a, c = data.rows()
+    ad = a * d
+    s1 = (ad * a.adjoint() - LaurentPoly.identity(p)).sup_norm()
+    s2 = (c * d * c.adjoint() + LaurentPoly.identity(q)).sup_norm()
+    s3 = (ad * c.adjoint()).sup_norm()
     entries += [
         _residual_entry("dual_a", s1, tol),
         _residual_entry("dual_d", s2, tol),
@@ -289,26 +291,28 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
 def verify_solution(data: DataSet, g: LaurentPoly, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residuals of the four membership inclusions defining a solution.
 
-    Each entry is the sup norm of the forbidden-support part of one of the
-    four combinations; all four vanish exactly when g solves the inverse
-    problem for the data.
+    Each entry is the sup norm of one column block of the two row
+    inclusions; all four vanish exactly when the analytic g solves the
+    inverse problem for the data.
     """
     if g.shape != (data.p, data.q):
         raise ShapeError(f"g must be {(data.p, data.q)}, got {g.shape}")
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    e_p = LaurentPoly.identity(data.p)
-    e_q = LaurentPoly.identity(data.q)
-    gs = g.adjoint()
+    if not g.in_subspace(SubspaceTag.PLUS):
+        raise ShapeError("g must be supported on degrees >= 0")
+    p, n = data.p, max(data.m, 0 if g.is_zero else g.hi) + 1  # residual degrees 1-n..n-1
+    units = np.eye(p + data.q)
+    a, c = data.rows()
+    plus = (a + g * c - LaurentPoly.constant(units[:p])).coeff_run(0, n)
+    minus = (g.adjoint() * a + c - LaurentPoly.constant(units[p:])).coeff_run(1 - n, n)
     res = {
-        "alpha_g_gamma": (al + g * ga - e_p).project(SubspaceTag.PLUS).sup_norm(),
-        "gstar_alpha_gamma": (gs * al + ga).project(SubspaceTag.MINUS).sup_norm(),
-        "delta_gstar_beta": (de + gs * be - e_q).project(SubspaceTag.MINUS).sup_norm(),
-        "g_delta_beta": (g * de + be).project(SubspaceTag.PLUS).sup_norm(),
+        "alpha_g_gamma": plus[:, :, :p],
+        "gstar_alpha_gamma": minus[:, :, :p],
+        "delta_gstar_beta": minus[:, :, p:],
+        "g_delta_beta": plus[:, :, p:],
     }
-    return CheckReport([_residual_entry(k, v, tol) for k, v in res.items()])
+    return CheckReport([_residual_entry(k, np.abs(v).max(), tol) for k, v in res.items()])
 
 
 def inclusion_residuals(data: DataSet, g: LaurentPoly):
     """The four inclusion residuals as a tuple (order as in verify_solution)."""
-    rep = verify_solution(data, g)
-    return tuple(e.value for e in rep.entries)
+    return tuple(verify_solution(data, g).values().values())

@@ -8,6 +8,11 @@ T+(alpha), T+(z beta), H-(gamma), H-(z delta), H+(beta), H+(alpha/z),
 T-(delta) and T-(gamma/z).  ``check_lemma_suite`` compares that window
 with the defining products, whose shift factors are explicit, and with
 the Hankel-product form of M.
+
+``DataSet.rows`` returns the block rows A = [alpha beta] (degrees 0..m) and
+C = [gamma delta] (degrees -m..0) of X = [[alpha, beta], [gamma, delta]];
+with J = diag(I, -I) the data identities are the blocks of
+X* J X = A*A - C*C = diag(a0, -d0).
 """
 
 from __future__ import annotations
@@ -76,14 +81,9 @@ class DataSet:
     @property
     def m(self) -> int:
         """Largest degree appearing in any of the four symbols."""
-        degs = [0]
-        for sym in (self.alpha, self.beta):
-            if not sym.is_zero:
-                degs.append(sym.hi)
-        for sym in (self.gamma, self.delta):
-            if not sym.is_zero:
-                degs.append(-sym.lo)
-        return max(degs)
+        plus = [sym.hi for sym in (self.alpha, self.beta) if not sym.is_zero]
+        minus = [-sym.lo for sym in (self.gamma, self.delta) if not sym.is_zero]
+        return max([0] + plus + minus)
 
     def extent(self) -> int:
         """Block extent m+1 of every windowed operator built from the data."""
@@ -99,18 +99,12 @@ class DataSet:
                 )
         return np.linalg.inv(self.a0), np.linalg.inv(self.d0)
 
-
-# -- column helpers ---------------------------------------------------------
-
-
-def plus_coeff_column(sym: LaurentPoly, n_blocks: int) -> np.ndarray:
-    """Stack coefficients 0..N-1 of a plus symbol into a window column."""
-    return sym.coeff_run(0, n_blocks).reshape(n_blocks * sym.rows, sym.cols)
-
-
-def minus_coeff_column(sym: LaurentPoly, n_blocks: int) -> np.ndarray:
-    """Stack coefficients -N+1..0 of a minus symbol into a window column."""
-    return sym.coeff_run(1 - n_blocks, n_blocks).reshape(n_blocks * sym.rows, sym.cols)
+    def rows(self):
+        """The block rows A = [alpha beta] and C = [gamma delta] as series."""
+        n = self.extent()
+        a = np.concatenate([self.alpha.coeff_run(0, n), self.beta.coeff_run(0, n)], 2)
+        c = np.concatenate([self.gamma.coeff_run(1 - n, n), self.delta.coeff_run(1 - n, n)], 2)
+        return LaurentPoly.from_run(0, a), LaurentPoly.from_run(1 - n, c)
 
 
 # -- operator assembly ------------------------------------------------------
@@ -222,7 +216,6 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     """
     N = int(n_blocks)
     p, q = data.p, data.q
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
 
     id_res = identity_residual_triple(data)
     precondition_ok = max(id_res) <= tol
@@ -257,21 +250,24 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     rhs_shift = np.vstack([hp_gs, hp_lds]) @ sm_q @ np.hstack([tm_lg, tm_d])
     thht_shifted = res(lhs_shift - rhs_shift, plus_p + plus_q, minus_p + minus_q)
 
-    # Unit-column identities: M maps the unit columns to the data columns.
+    # Unit-column identities: M maps the unit columns to the windows of the rows.
+    a, c = data.rows()
+    wins = np.vstack([a.coeff_run(0, N).reshape(n, -1), c.coeff_run(1 - N, N).reshape(N * q, -1)])
+    units = np.hstack([mm[:, :p], mm[:, -q:]]) - wins
     units = {
-        "units_a": _maxabs(m11[:, :p] - plus_coeff_column(al, N)),
-        "units_b": _maxabs(m12[:, -q:] - plus_coeff_column(be, N)),
-        "units_c": _maxabs(m21[:, :p] - minus_coeff_column(ga, N)),
-        "units_d": _maxabs(m22[:, -q:] - minus_coeff_column(de, N)),
+        "units_a": _maxabs(units[:n, :p]),
+        "units_b": _maxabs(units[:n, p:]),
+        "units_c": _maxabs(units[n:, :p]),
+        "units_d": _maxabs(units[n:, p:]),
     }
 
     # The defining products, with explicit shifts S+ T+(beta) = T+(z beta),
     # S- T-(gamma) = T-(gamma/z), S+* H+(alpha) = H+(alpha/z) and
     # S-* H-(delta) = H-(z delta), and the Hankel-product form of M.
-    tp_b = build(OpKind.TOEPLITZ_PLUS, be, N)
-    tm_g = build(OpKind.TOEPLITZ_MINUS, ga, N)
-    hp_a = build(OpKind.HANKEL_PLUS, al, N)
-    hm_d = build(OpKind.HANKEL_MINUS, de, N)
+    tp_b = build(OpKind.TOEPLITZ_PLUS, data.beta, N)
+    tm_g = build(OpKind.TOEPLITZ_MINUS, data.gamma, N)
+    hp_a = build(OpKind.HANKEL_PLUS, data.alpha, N)
+    hm_d = build(OpKind.HANKEL_MINUS, data.delta, N)
     primary = np.block([
         [tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T,
          hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T],
@@ -318,9 +314,10 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
 
 
 def identity_residual_triple(data: DataSet):
-    """The three data-identity residuals (sup norm over degrees)."""
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    r1 = (al.adjoint() * al - ga.adjoint() * ga - LaurentPoly.constant(data.a0)).sup_norm()
-    r2 = (de.adjoint() * de - be.adjoint() * be - LaurentPoly.constant(data.d0)).sup_norm()
-    r3 = (al.adjoint() * be - ga.adjoint() * de).sup_norm()
-    return (r1, r2, r3)
+    """The three data-identity residuals (sup norm over degrees): the
+    top-left, bottom-right and top-right blocks of A*A - C*C - diag(a0, -d0)."""
+    a, c = data.rows()
+    p, q, m = data.p, data.q, data.m
+    jd = np.block([[data.a0, np.zeros((p, q))], [np.zeros((q, p)), -data.d0]])
+    res = (a.adjoint() * a - c.adjoint() * c - LaurentPoly.constant(jd)).coeff_run(-m, 2 * m + 1)
+    return tuple(_maxabs(blk) for blk in (res[:, :p, :p], res[:, p:, p:], res[:, :p, p:]))

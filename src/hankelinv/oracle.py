@@ -54,14 +54,13 @@ def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
     rhs[:p, :p] = np.eye(p)          # first plus unit column
     rhs[-q:, p:] = np.eye(q)         # last minus unit column
     sol = np.linalg.solve(om, rhs)
-    ac, bd = sol[:, :p], sol[:, p:]
-
-    # plus columns hold degrees 0..m, minus columns degrees -m..0
-    alpha = LaurentPoly.from_run(0, ac[:dim_p].reshape(m + 1, p, p))
-    gamma = LaurentPoly.from_run(-m, ac[dim_p:].reshape(m + 1, q, p))
-    beta = LaurentPoly.from_run(0, bd[:dim_p].reshape(m + 1, p, q))
-    delta = LaurentPoly.from_run(-m, bd[dim_p:].reshape(m + 1, q, q))
-    data = DataSet(alpha=alpha, beta=beta, gamma=gamma, delta=delta)
+    # the solution's plus half holds the row [alpha beta] on degrees 0..m,
+    # its minus half the row [gamma delta] on degrees -m..0
+    a, c = sol[:dim_p].reshape(m + 1, p, p + q), sol[dim_p:].reshape(m + 1, q, p + q)
+    data = DataSet(
+        alpha=LaurentPoly.from_run(0, a[..., :p]), beta=LaurentPoly.from_run(0, a[..., p:]),
+        gamma=LaurentPoly.from_run(-m, c[..., :p]), delta=LaurentPoly.from_run(-m, c[..., p:]),
+    )
 
     id_res = diagnostics.check_identities(data, tol=1e-12)
     incl = diagnostics.inclusion_residuals(data, g)

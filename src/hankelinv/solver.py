@@ -45,8 +45,6 @@ from .inversion import (
     DataSet,
     build_m,
     identity_residual_triple,
-    minus_coeff_column,
-    plus_coeff_column,
 )
 from .series import LaurentPoly, poly_gap
 from .structured import _block_toeplitz
@@ -291,15 +289,16 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
                 which=name,
             )
 
-    # one M11 solve for the beta column and the M12 columns side by side
-    sol = np.linalg.solve(m11, np.hstack([plus_coeff_column(data.beta, N), m12]))
+    # one M11 solve for the beta column, a window of the row A, and M12 side by side
+    a, c = data.rows()
+    sol = np.linalg.solve(m11, np.hstack([a.coeff_run(0, N)[:, :, p:].reshape(n, q), m12]))
     x, hmat = sol[:, :q], -sol[:, q:]
     g_run = -x.reshape(N, p, q)
     tail = float(np.abs(g_run[m + 1 :]).max(initial=0.0))
     g = LaurentPoly.from_run(0, g_run)
 
     # y block w is the adjoint of the coefficient of degree N - 1 - w
-    y = np.linalg.solve(m22, minus_coeff_column(data.gamma, N))
+    y = np.linalg.solve(m22, c.coeff_run(1 - N, N)[:, :, :p].reshape(N * q, p))
     g2 = LaurentPoly.from_run(0, (-y.reshape(N, q, p)[::-1]).conj().transpose(0, 2, 1))
 
     hrun, hdefect = _hankel_window_stats(hmat, p, q, N)

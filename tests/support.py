@@ -4,8 +4,10 @@ The oracles here are independent of the code they check: the Laplace
 cofactor expansion of a determinant (against ``LaurentPoly.det``), the
 least-squares reading of the corner operator entries (against the
 solvers), the Toeplitz/Hankel product and shift identities on exact
-margin sub-windows (against ``structured.build``) and the corner
-extraction and congruence structure of the window of Omega.
+margin sub-windows (against ``structured.build``), the corner
+extraction and congruence structure of the window of Omega, and the
+data identities and inclusions written out symbol by symbol (against
+their block-row forms in the package).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from hankelinv import DataSet, LaurentPoly, OpKind, build, build_omega, hankel_norm, lp_mul
 from hankelinv.diagnostics import CheckEntry, CheckReport
 from hankelinv.errors import ShapeError
+from hankelinv.series import SubspaceTag
 from hankelinv.structured import corner_residual
 
 
@@ -78,6 +81,76 @@ def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:
 
     idx = tuple(range(n))
     return minor(idx, idx)
+
+
+def corner_solve_data(p, q, m, norm, seed):
+    """g of Hankel norm ``norm`` and its data from a dense corner solve.
+
+    Any norm is allowed: the corner operator Omega = [[I, G], [G*, I]] is
+    invertible unless 1 is a singular value of the Hankel corner G.
+    Returns (g coefficients, DataSet, cond(Omega)).
+    """
+    rng = np.random.default_rng(seed)
+    g = (rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))) / np.sqrt(2)
+    n = m + 1
+    corner = np.zeros((n * p, n * q), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):  # block (i, j) holds g_{i + m - j}
+            corner[i * p : (i + 1) * p, j * q : (j + 1) * q] = g[i + m - j]
+    scale = norm / np.linalg.svd(corner, compute_uv=False)[0]
+    g, corner = scale * g, scale * corner
+    omega = np.block([[np.eye(n * p), corner], [corner.conj().T, np.eye(n * q)]])
+    rhs = np.zeros((n * (p + q), p + q), dtype=complex)
+    rhs[:p, :p] = np.eye(p)
+    rhs[-q:, p:] = np.eye(q)
+    sol = np.linalg.solve(omega, rhs)
+    top, bottom = sol[: n * p], sol[n * p :]
+    data = DataSet(
+        alpha=LaurentPoly.from_run(0, top[:, :p].reshape(n, p, p)),
+        beta=LaurentPoly.from_run(0, top[:, p:].reshape(n, p, q)),
+        gamma=LaurentPoly.from_run(-m, bottom[:, :p].reshape(n, q, p)),
+        delta=LaurentPoly.from_run(-m, bottom[:, p:].reshape(n, q, q)),
+    )
+    return g, data, np.linalg.cond(omega)
+
+
+# -- the data identities and inclusions, symbol by symbol ------------------------
+
+
+def identity_triple_per_symbol(data: DataSet) -> tuple:
+    """alpha* alpha - gamma* gamma - a0, delta* delta - beta* beta - d0 and
+    alpha* beta - gamma* delta, each as a sup norm over degrees."""
+    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    r1 = (al.adjoint() * al - ga.adjoint() * ga - LaurentPoly.constant(data.a0)).sup_norm()
+    r2 = (de.adjoint() * de - be.adjoint() * be - LaurentPoly.constant(data.d0)).sup_norm()
+    r3 = (al.adjoint() * be - ga.adjoint() * de).sup_norm()
+    return (r1, r2, r3)
+
+
+def dual_triple_per_symbol(data: DataSet) -> tuple:
+    """alpha a0^-1 alpha* - beta d0^-1 beta* - I, delta d0^-1 delta* -
+    gamma a0^-1 gamma* - I and alpha a0^-1 gamma* - beta d0^-1 delta*."""
+    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    a0inv, d0inv = data.corner_inverses()
+    ai, di = LaurentPoly.constant(a0inv), LaurentPoly.constant(d0inv)
+    e_p, e_q = LaurentPoly.identity(data.p), LaurentPoly.identity(data.q)
+    s1 = (al * ai * al.adjoint() - be * di * be.adjoint() - e_p).sup_norm()
+    s2 = (de * di * de.adjoint() - ga * ai * ga.adjoint() - e_q).sup_norm()
+    s3 = (al * ai * ga.adjoint() - be * di * de.adjoint()).sup_norm()
+    return (s1, s2, s3)
+
+
+def inclusions_per_symbol(data: DataSet, g: LaurentPoly) -> tuple:
+    """The four projected inclusions, in ``verify_solution``'s order."""
+    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    e_p, e_q = LaurentPoly.identity(data.p), LaurentPoly.identity(data.q)
+    gs = g.adjoint()
+    return (
+        (al + g * ga - e_p).project(SubspaceTag.PLUS).sup_norm(),
+        (gs * al + ga).project(SubspaceTag.MINUS).sup_norm(),
+        (de + gs * be - e_q).project(SubspaceTag.MINUS).sup_norm(),
+        (g * de + be).project(SubspaceTag.PLUS).sup_norm(),
+    )
 
 
 # -- structured identities ------------------------------------------------------

@@ -267,6 +267,16 @@ def test_verify_wrong_g_fails(problem_file, tmp_path):
     assert cli.main(["verify", problem_file, str(gpath)]) == 5
 
 
+def test_verify_non_analytic_g_refused(tmp_path):
+    # the trivial data, whose one solution is g = 0, against 0.3 at degree -1
+    triv = tmp_path / "triv.json"
+    args = ["--random", "--p", "1", "--q", "1", "--m", "0", "--norm", "0", "--seed", "1"]
+    assert cli.main(["synthesize", *args, str(triv)]) == 0
+    gpath = tmp_path / "g.json"
+    io_json.write_json(gpath, io_json.poly_to_json(LaurentPoly.single(-1, [[0.3]])))
+    assert cli.main(["verify", str(triv), str(gpath)]) == 2
+
+
 def test_invert(g_file, capsys):
     assert cli.main(["invert", g_file, "--order", "8"]) == 0
     doc = json.loads(capsys.readouterr().out)

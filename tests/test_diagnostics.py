@@ -5,10 +5,17 @@ import pytest
 
 import hankelinv as hv
 from hankelinv import DataSet, LaurentPoly
-from hankelinv.errors import DegenerateError
+from hankelinv.errors import DegenerateError, ShapeError
 
 from conftest import random_poly
-from support import check_appendix_structure, trivial_data
+from support import (
+    check_appendix_structure,
+    corner_solve_data,
+    dual_triple_per_symbol,
+    identity_triple_per_symbol,
+    inclusions_per_symbol,
+    trivial_data,
+)
 
 
 # -- check_identities -----------------------------------------------------------
@@ -188,6 +195,48 @@ def test_verify_monotone_at_truth(deg0_fixture, rng):
         noise = random_poly(rng, 1, 1, (0, 1), scale=1e-2)
         worse = max(hv.inclusion_residuals(d, deg0_fixture.g + noise))
         assert worse > base
+
+
+def test_verify_refuses_non_analytic_g():
+    # the trivial data are solved by g = 0 alone; a g with support at degree
+    # -1 is no candidate, and the row inclusions assume degrees >= 0
+    with pytest.raises(ShapeError, match="degrees >= 0"):
+        hv.verify_solution(trivial_data(1, 1), LaurentPoly.single(-1, [[0.3]]))
+
+
+# -- block forms against the per-symbol reference --------------------------------------
+
+
+@pytest.mark.parametrize("norm", [0.3, 0.9, 1.2, 1.5, 3.0])
+def test_block_forms_match_per_symbol_reference(norm):
+    # 40 data sets per norm, p, q <= 3 and m <= 8, each verified at its true
+    # g, a perturbed g, the zero g and a random g of degree m + 3.  The bound
+    # is 64 eps s max(1, |reference|).  s = max(1, |a0|, |d0|)^2 for the
+    # direct triple and the inclusions; the dual triple's terms carry a0^-1
+    # and d0^-1, and above norm 1 the data coefficients outgrow a0 and d0,
+    # so there s = max(1, largest coefficient)^2 max(1, |a0^-1|, |d0^-1|).
+    rng = np.random.default_rng(1804)
+    eps = np.finfo(float).eps
+    for seed in range(40):
+        p, q, m = (int(k) for k in rng.integers([1, 1, 0], [4, 4, 9]))
+        g, data, _ = corner_solve_data(p, q, m, norm, seed)
+        g = LaurentPoly.from_run(0, g)
+        scale = max(1.0, np.linalg.norm(data.a0, 2), np.linalg.norm(data.d0, 2)) ** 2
+        coef = max(sym.sup_norm() for sym in (data.alpha, data.beta, data.gamma, data.delta))
+        inv = max(np.linalg.norm(x, 2) for x in data.corner_inverses())
+        dual = hv.check_identities(data)
+        pairs = [
+            (hv.identity_residual_triple(data), identity_triple_per_symbol(data), scale),
+            ([dual.entry(n).value for n in ("dual_a", "dual_d", "dual_cross")],
+             dual_triple_per_symbol(data), max(1.0, coef) ** 2 * max(1.0, inv)),
+        ]
+        candidates = (g, g + random_poly(rng, p, q, range(m + 1), scale=1e-3),
+                      LaurentPoly.zero(p, q), random_poly(rng, p, q, range(m + 4)))
+        pairs += [(hv.inclusion_residuals(data, h), inclusions_per_symbol(data, h), scale)
+                  for h in candidates]
+        for block, ref, s in pairs:
+            for b, r in zip(block, ref):
+                assert abs(b - r) <= 64 * eps * s * max(1.0, r), (seed, block, ref)
 
 
 # -- appendix structure -------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hankelinv.errors import (
 )
 
 from conftest import random_poly
-from support import trivial_data
+from support import corner_solve_data, trivial_data
 
 
 def perturbed(data, which, eps):
@@ -298,37 +298,6 @@ def test_hankel_window_stats_match_diagonal_loop(rng, N):
     assert np.max(np.abs(run - ref_run)) <= 1e-15 * np.max(np.abs(ref_run))
     assert abs(defect - ref_defect) <= 1e-15 * ref_defect
     assert (defect > 0) == (N > 1)
-
-
-def corner_solve_data(p, q, m, norm, seed):
-    """g of Hankel norm ``norm`` and its data from a dense corner solve.
-
-    Any norm is allowed: the corner operator Omega = [[I, G], [G*, I]] is
-    invertible unless 1 is a singular value of the Hankel corner G.
-    Returns (g coefficients, DataSet, cond(Omega)).
-    """
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))) / np.sqrt(2)
-    n = m + 1
-    corner = np.zeros((n * p, n * q), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):  # block (i, j) holds g_{i + m - j}
-            corner[i * p : (i + 1) * p, j * q : (j + 1) * q] = g[i + m - j]
-    scale = norm / np.linalg.svd(corner, compute_uv=False)[0]
-    g, corner = scale * g, scale * corner
-    omega = np.block([[np.eye(n * p), corner], [corner.conj().T, np.eye(n * q)]])
-    rhs = np.zeros((n * (p + q), p + q), dtype=complex)
-    rhs[:p, :p] = np.eye(p)
-    rhs[-q:, p:] = np.eye(q)
-    sol = np.linalg.solve(omega, rhs)
-    top, bottom = sol[: n * p], sol[n * p :]
-    data = DataSet(
-        alpha=LaurentPoly.from_run(0, top[:, :p].reshape(n, p, p)),
-        beta=LaurentPoly.from_run(0, top[:, p:].reshape(n, p, q)),
-        gamma=LaurentPoly.from_run(-m, bottom[:, :p].reshape(n, q, p)),
-        delta=LaurentPoly.from_run(-m, bottom[:, p:].reshape(n, q, q)),
-    )
-    return g, data, np.linalg.cond(omega)
 
 
 @pytest.mark.parametrize("norm", [1.2, 1.5, 3.0])
