@@ -8,7 +8,7 @@ from hankelinv import DataSet, LaurentPoly
 from hankelinv.errors import ShapeError, SingularCornerError
 
 from conftest import random_poly
-from support import trivial_data
+from support import corner_solve_data, trivial_data
 
 
 # -- DataSet ------------------------------------------------------------------
@@ -229,3 +229,21 @@ def test_identity_triples_vanish_together():
     rep = hv.check_identities(fx.data)
     for name in ("identity_a", "identity_d", "identity_cross", "dual_a", "dual_d", "dual_cross"):
         assert rep.entry(name).value <= 1e-10, name
+
+
+@pytest.mark.parametrize("p,q,m", [(2, 2, 8), (3, 3, 32), (1, 1, 64)])
+def test_residual_scale_of_exact_data(p, q, m):
+    # Data from a dense corner solve carry identity residuals of about
+    # eps |a0|^2 and inclusion residuals of about eps |a0| at the generating
+    # g, up to norm 0.9999.  The bounds sit 4x above the worst ratios seen
+    # with the shift-sum product (143 and 3.4), so round-off in the series
+    # product cannot push exact data towards the identity gate.
+    eps = np.finfo(float).eps
+    for norm in (0.9, 0.99, 0.995, 0.9999):
+        for seed in range(5):
+            g, data, _ = corner_solve_data(p, q, m, norm, seed)
+            a0 = np.linalg.norm(data.a0, 2)
+            where = (norm, seed)
+            assert max(hv.identity_residual_triple(data)) <= 600 * eps * a0**2, where
+            g_sym = LaurentPoly.from_run(0, g)
+            assert max(hv.inclusion_residuals(data, g_sym)) <= 16 * eps * a0, where

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import hankelinv as hv
 from hankelinv import LaurentPoly, SubspaceTag
 from hankelinv.errors import ShapeError
+from hankelinv.series import _SHIFT_SUM_MAX_WIDTH
 
 from conftest import random_poly
 from support import lp_det_cofactor
@@ -94,14 +95,28 @@ def test_mul_associative(chain):
 
 
 def reference_mul(f, g):
-    """Double-loop Cauchy convolution over the stored degrees."""
-    degs = [df + dg for df in f.degrees() for dg in g.degrees()]
-    lo = min(degs, default=0)
-    run = np.zeros((max(degs, default=lo - 1) - lo + 1, f.rows, g.cols), dtype=complex)
-    for df in f.degrees():
-        for dg in g.degrees():
-            run[df + dg - lo] += f.coeff(df) @ g.coeff(dg)
+    """Direct Cauchy convolution over the stored degrees: each stored
+    coefficient of f times every stored coefficient of g, summed in place."""
+    f_degs, g_degs = f.degrees(), np.array(g.degrees(), dtype=int)
+    if not f_degs or not g_degs.size:
+        return LaurentPoly.zero(f.rows, g.cols)
+    g_coeffs = np.array([g.coeff(d) for d in g_degs])
+    lo = f_degs[0] + g_degs[0]
+    run = np.zeros((f_degs[-1] + g_degs[-1] - lo + 1, f.rows, g.cols), dtype=complex)
+    for df in f_degs:
+        run[df + g_degs - lo] += f.coeff(df) @ g_coeffs
     return LaurentPoly.from_run(lo, run)
+
+
+def assert_matches_reference(f, g):
+    """f * g has the reference's shape and support, and its values up to
+    round-off of the order eps |f| |g| times the shorter width."""
+    expect = reference_mul(f, g)
+    prod = f * g
+    assert prod.shape == expect.shape
+    assert prod.degrees() == expect.degrees()
+    scale = 1.0 + f.sup_norm() * g.sup_norm() * min(f.width(), g.width())
+    assert hv.poly_gap(prod, expect) <= 1e-14 * scale
 
 
 @st.composite
@@ -121,13 +136,39 @@ def mul_pair(draw):
 
 @given(mul_pair())
 def test_mul_matches_reference_convolution(pair):
-    f, g = pair
-    expect = reference_mul(f, g)
+    assert_matches_reference(*pair)
+
+
+@pytest.mark.parametrize("short", [1, _SHIFT_SUM_MAX_WIDTH, _SHIFT_SUM_MAX_WIDTH + 1, 12])
+@pytest.mark.parametrize("r,k,c", [(1, 1, 1), (3, 2, 3)])
+def test_mul_either_side_of_the_width_limit(short, r, k, c):
+    # the shift-sum runs up to the limit and the FFT beyond it; both operand
+    # orders, so that either factor is the short one once
+    rng = np.random.default_rng(short)
+    narrow = random_poly(rng, r, k, range(-3, short - 3))
+    wide = random_poly(rng, k, c, range(5, 38))
+    assert_matches_reference(narrow, wide)
+    assert_matches_reference(wide.adjoint(), narrow.adjoint())
+
+
+@pytest.mark.parametrize("r,k,c,width", [(3, 3, 3, 257), (1, 2, 1, 1025)])
+def test_mul_wide_operands(r, k, c, width):
+    rng = np.random.default_rng(width)
+    f = random_poly(rng, r, k, range(-width // 2, width - width // 2))
+    g = random_poly(rng, k, c, range(width))
+    assert_matches_reference(f, g)
+
+
+def test_mul_wide_gaps_stay_exactly_zero():
+    rng = np.random.default_rng(7)
+    f = random_poly(rng, 2, 3, (0, 40, 80))
+    g = random_poly(rng, 3, 2, range(31))
     prod = f * g
-    assert prod.shape == expect.shape
-    assert prod.degrees() == expect.degrees()
-    scale = 1.0 + f.sup_norm() * g.sup_norm() * min(f.width(), g.width())
-    assert hv.poly_gap(prod, expect) <= 1e-14 * scale
+    assert_matches_reference(f, g)
+    reach = [d for d in range(111) if d <= 30 or 40 <= d <= 70 or d >= 80]
+    assert prod.degrees() == tuple(reach)
+    for gap in (range(31, 40), range(71, 80)):
+        assert not prod.coeff_run(gap.start, len(gap)).any()
 
 
 def test_mul_overflow_raises():
