@@ -4,7 +4,7 @@ Commands read problem/symbol JSON files, dispatch the library and write
 machine-readable reports to stdout; diagnostics go to stderr.  Exit codes:
 
 * 0 - success / all checks pass
-* 2 - file missing or malformed
+* 2 - file missing or malformed, or an input too large to allocate
 * 3 - synthesis failure
 * 4 - solve refused (data identities, injectivity, singular corner)
 * 5 - a check or verification failed
@@ -258,6 +258,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ShapeError) as exc:
         _err(str(exc))
+        return EXIT_PARSE
+    except MemoryError as exc:  # a window too large, e.g. --order 1000000
+        _err(f"out of memory: {exc}")
         return EXIT_PARSE
 
 

@@ -2,12 +2,16 @@
 
 ``build_omega`` assembles the window of [[I, H+(g)], [H-(g*), I]] and
 ``build_m`` the window of its inverse candidate M, from the data symbols
-alone.  With the shift factors absorbed into the symbols, every block of M
-is a difference of products of the corner inverses with the eight windows
-T+(alpha), T+(z beta), H-(gamma), H-(z delta), H+(beta), H+(alpha/z),
-T-(delta) and T-(gamma/z).  ``check_lemma_suite`` compares that window
-with the defining products, whose shift factors are explicit, and with
-the Hankel-product form of M.
+alone.  With the shift factors absorbed into the shifted block rows
+R = [alpha, z beta] and C' = [gamma/z, delta], M is built from four
+windows, P = T+(R), Hp = H+(R/z), Hm = H-(z C') and Q = T-(C'):
+
+    M = [[P, -Hp], [Hm, -Q]] diag(K, K) blockdiag(P, Q)*,
+
+with K = diag(a0^-1, -d0^-1) applied to each (p+q)-block of the inner
+index.  ``check_lemma_suite`` compares that window with the defining
+products, whose shift factors are explicit, and with the Hankel-product
+form of M.
 
 ``DataSet.rows`` returns the block rows A = [alpha beta] (degrees 0..m) and
 C = [gamma delta] (degrees -m..0) of X = [[alpha, beta], [gamma, delta]];
@@ -128,35 +132,30 @@ def build_omega(g: LaurentPoly, n_blocks: int) -> np.ndarray:
     return out
 
 
-def _assemble(data: DataSet, N: int):
-    """M's window, its block-diagonal corner inverses and the eight windows it is built from.
+def _scaled(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """w times diag(k, ..., k): k acts on each (p+q)-column block of w."""
+    rows = w.shape[0]
+    return (w.reshape(rows, -1, k.shape[0]) @ k).reshape(rows, -1)
 
-    Returns (m, da, dd, windows), with the windows in the order T+(alpha),
-    T+(z beta), H-(gamma), H-(z delta), H+(beta), H+(alpha/z), T-(delta),
-    T-(gamma/z); each block of m is written into one preallocated array.
+
+def _assemble(data: DataSet, N: int):
+    """M's window, K and the stacked windows x = [P; Hm] and y = [Hp; Q].
+
+    R = [alpha, z beta] (degrees 0..m+1) and C' = [gamma/z, delta]
+    (degrees -m-1..0) are each one run, so the columns of every window come
+    in (p+q)-blocks, the first p columns from alpha or gamma.  M is
+    [x K P*, -y K Q*]; returns (m, k, x, y).
     """
     a0inv, d0inv = data.corner_inverses()
-    da = np.kron(np.eye(N), a0inv)
-    dd = np.kron(np.eye(N), d0inv)
-    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    windows = (
-        build(OpKind.TOEPLITZ_PLUS, al, N),
-        build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N),
-        build(OpKind.HANKEL_MINUS, ga, N),
-        build(OpKind.HANKEL_MINUS, de.shifted(1), N),
-        build(OpKind.HANKEL_PLUS, be, N),
-        build(OpKind.HANKEL_PLUS, al.shifted(-1), N),
-        build(OpKind.TOEPLITZ_MINUS, de, N),
-        build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N),
-    )
-    tp_a, tp_lb, hm_g, hm_ld, hp_b, hp_la, tm_d, tm_lg = windows
-    n = N * data.p
-    out = np.empty((N * (data.p + data.q),) * 2, dtype=complex)
-    out[:n, :n] = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
-    out[n:, :n] = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
-    out[:n, n:] = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
-    out[n:, n:] = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
-    return out, da, dd, windows
+    p, q, n = data.p, data.q, data.extent()
+    k = np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]])
+    r = np.concatenate([data.alpha.coeff_run(0, n + 1), data.beta.coeff_run(-1, n + 1)], 2)
+    c = np.concatenate([data.gamma.coeff_run(1 - n, n + 1), data.delta.coeff_run(-n, n + 1)], 2)
+    r, c = LaurentPoly.from_run(0, r), LaurentPoly.from_run(-n, c)
+    x = np.vstack([build(OpKind.TOEPLITZ_PLUS, r, N), build(OpKind.HANKEL_MINUS, c.shifted(1), N)])
+    y = np.vstack([build(OpKind.HANKEL_PLUS, r.shifted(-1), N), build(OpKind.TOEPLITZ_MINUS, c, N)])
+    m = np.hstack([_scaled(x, k) @ x[: N * p].conj().T, _scaled(y, -k) @ y[N * p :].conj().T])
+    return m, k, x, y
 
 
 def build_m(data: DataSet, n_blocks: int) -> np.ndarray:
@@ -201,13 +200,15 @@ def _maxabs(x) -> float:
 def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) -> dict:
     """Residuals of the structural identities satisfied by M.
 
-    Covers the Toeplitz/Hankel exchange identities, the unit-column
+    Covers the Toeplitz/Hankel exchange identities (the four blocks of
+    P* Hp - Hm* Q and, in one piece, P* S+* Hp - Hm* S- Q), the unit-column
     identities (the first p and last q columns of M are the coefficient
     columns), selfadjointness M12* = M21, agreement of ``build_m`` with the
-    defining products (``variant_agreement``) and with the Hankel-product
-    form (``hankel_form_agreement``), the J-congruence
-    M J M = diag(M11, -M22) and the shift intertwining
-    M11 S+* M12 = M12 S- M22.
+    defining products (``variant_agreement``: windows of the unshifted rows
+    A and C, explicit shift factors) and with the Hankel-product form
+    I + [[-Hp, P], [-Q, Hm]] diag(K, K) blockdiag(Hp, Hm)*
+    (``hankel_form_agreement``), the J-congruence M J M = diag(M11, -M22)
+    and the shift intertwining M11 S+* M12 = M12 S- M22.
 
     The data identities are a precondition; their residual triple is
     reported and ``precondition_ok`` is False when it exceeds ``tol``.
@@ -216,39 +217,38 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     """
     N = int(n_blocks)
     p, q = data.p, data.q
+    s = p + q
 
     id_res = identity_residual_triple(data)
     precondition_ok = max(id_res) <= tol
 
-    mm, da, dd, (tp_a, tp_lb, hm_g, hm_ld, hp_b, hp_la, tm_d, tm_lg) = _assemble(data, N)
+    mm, k, x, y = _assemble(data, N)
     n = N * p
     m11, m12, m21, m22 = mm[:n, :n], mm[:n, n:], mm[n:, :n], mm[n:, n:]
+    j = np.repeat([1.0, -1.0], [n, N * q])
 
     margin_pair = max(0, N - 2 * data.extent())
 
     def res(diff, rows, cols):
         return corner_residual(diff, rows, cols, N, margin_pair)
 
-    # Exchange identities: T+(rho*) H+(...) = H+(...) T-(...) in block form.
-    # T+(f*) = T+(f)* and H+(f*) = H-(f)* hold window for window.
-    tp_as, tp_lbs = tp_a.conj().T, tp_lb.conj().T
-    hp_gs, hp_lds = hm_g.conj().T, hm_ld.conj().T
-
-    plus_p, plus_q = [("plus", p)], [("plus", q)]
-    minus_p, minus_q = [("minus", p)], [("minus", q)]
+    # Exchange identities T+(f*) H+(h) = H-(f)* T-(h) for all four pairs of
+    # columns at once: x* J y = P* Hp - Hm* Q, read block by block, and with
+    # the backward shift blockdiag(S+*, S-) = shift* between the factors.
+    sp = build(OpKind.TOEPLITZ_PLUS, LaurentPoly.single(1, np.eye(p)), N)
+    sm = build(OpKind.TOEPLITZ_MINUS, LaurentPoly.single(-1, np.eye(q)), N)
+    shift = np.block([[sp, np.zeros((n, N * q))], [np.zeros((N * q, n)), sm.conj().T]])
+    xs, jy = x.conj().T, y * j[:, None]
+    blocks = (xs @ jy).reshape(N, s, N, s)
+    sides = (("a", slice(0, p), p), ("b", slice(p, s), q))
     thht = {
-        "thht_aa": res(tp_as @ hp_la - hp_gs @ tm_lg, plus_p, minus_p),
-        "thht_ab": res(tp_as @ hp_b - hp_gs @ tm_d, plus_p, minus_q),
-        "thht_ba": res(tp_lbs @ hp_la - hp_lds @ tm_lg, plus_q, minus_p),
-        "thht_bb": res(tp_lbs @ hp_b - hp_lds @ tm_d, plus_q, minus_q),
+        f"thht_{i}{t}": res(
+            blocks[:, si, :, st].reshape(N * wi, -1), [("plus", wi)], [("minus", wt)]
+        )
+        for i, si, wi in sides
+        for t, st, wt in sides
     }
-
-    # Shifted variant of the exchange identity (one extra backward shift).
-    sp_p = build(OpKind.TOEPLITZ_PLUS, LaurentPoly.single(1, np.eye(p)), N)
-    sm_q = build(OpKind.TOEPLITZ_MINUS, LaurentPoly.single(-1, np.eye(q)), N)
-    lhs_shift = np.vstack([tp_as, tp_lbs]) @ sp_p.conj().T @ np.hstack([hp_la, hp_b])
-    rhs_shift = np.vstack([hp_gs, hp_lds]) @ sm_q @ np.hstack([tm_lg, tm_d])
-    thht_shifted = res(lhs_shift - rhs_shift, plus_p + plus_q, minus_p + minus_q)
+    thht_shifted = res(xs @ shift.conj().T @ jy, [("plus", s)], [("minus", s)])
 
     # Unit-column identities: M maps the unit columns to the windows of the rows.
     a, c = data.rows()
@@ -261,27 +261,23 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
         "units_d": _maxabs(units[n:, p:]),
     }
 
-    # The defining products, with explicit shifts S+ T+(beta) = T+(z beta),
-    # S- T-(gamma) = T-(gamma/z), S+* H+(alpha) = H+(alpha/z) and
-    # S-* H-(delta) = H-(z delta), and the Hankel-product form of M.
-    tp_b = build(OpKind.TOEPLITZ_PLUS, data.beta, N)
-    tm_g = build(OpKind.TOEPLITZ_MINUS, data.gamma, N)
-    hp_a = build(OpKind.HANKEL_PLUS, data.alpha, N)
-    hm_d = build(OpKind.HANKEL_MINUS, data.delta, N)
-    primary = np.block([
-        [tp_a @ da @ tp_a.conj().T - sp_p @ tp_b @ dd @ tp_b.conj().T @ sp_p.conj().T,
-         hp_b @ dd @ tm_d.conj().T - sp_p.conj().T @ hp_a @ da @ tm_g.conj().T @ sm_q.conj().T],
-        [hm_g @ da @ tp_a.conj().T - sm_q.conj().T @ hm_d @ dd @ tp_b.conj().T @ sp_p.conj().T,
-         tm_d @ dd @ tm_d.conj().T - sm_q @ tm_g @ da @ tm_g.conj().T @ sm_q.conj().T],
+    # The defining products from the windows of A and C, with the shifts
+    # explicit: z beta and gamma/z enter as S+ T+(beta) and S- T-(gamma),
+    # alpha/z and z delta as S+* H+(alpha) and S-* H-(delta).  ka and kd
+    # are the alpha and beta halves of K.
+    ta, tc = build(OpKind.TOEPLITZ_PLUS, a, N), build(OpKind.TOEPLITZ_MINUS, c, N)
+    x0 = np.vstack([ta, build(OpKind.HANKEL_MINUS, c, N)])
+    y0 = np.vstack([build(OpKind.HANKEL_PLUS, a, N), tc])
+    ka, kd = k * (np.arange(s) < p), k * (np.arange(s) >= p)
+    primary = np.hstack([
+        _scaled(x0, ka) @ ta.conj().T + shift @ _scaled(x0, kd) @ ta.conj().T @ sp.conj().T,
+        -_scaled(y0, kd) @ tc.conj().T - shift.conj().T @ _scaled(y0, ka) @ tc.conj().T @ sm.conj().T,
     ])
-    hankel = np.block([
-        [np.eye(n) - hp_la @ da @ hp_la.conj().T + hp_b @ dd @ hp_b.conj().T,
-         tp_a @ da @ hm_g.conj().T - tp_lb @ dd @ hm_ld.conj().T],
-        [tm_d @ dd @ hp_b.conj().T - tm_lg @ da @ hp_la.conj().T,
-         np.eye(N * q) - hm_ld @ dd @ hm_ld.conj().T + hm_g @ da @ hm_g.conj().T],
-    ])
+    hankel = np.hstack([_scaled(y, -k) @ y[:n].conj().T, _scaled(x, k) @ x[n:].conj().T])
+    hankel += np.eye(N * s)
 
     # Selfadjointness and agreement with the two other forms of M.
+    plus_p, minus_q = [("plus", p)], [("minus", q)]
     spaces = plus_p + minus_q
     structure = {
         "adjoint_m12_m21": _maxabs(m12.conj().T - m21),
@@ -292,10 +288,10 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     }
 
     # J-congruence with J = diag(I, -I), and the shift intertwining.
-    mjm = (mm * np.repeat([1.0, -1.0], [n, N * q])) @ mm
+    mjm = (mm * j) @ mm
     mjm[:n, :n] -= m11
     mjm[n:, n:] += m22
-    inter = m11 @ sp_p.conj().T @ m12 - m12 @ sm_q @ m22
+    inter = m11 @ sp.conj().T @ m12 - m12 @ sm @ m22
 
     out = {
         "precondition_identities": max(id_res),

@@ -7,7 +7,8 @@ solvers), the Toeplitz/Hankel product and shift identities on exact
 margin sub-windows (against ``structured.build``), the corner
 extraction and congruence structure of the window of Omega, and the
 data identities and inclusions written out symbol by symbol (against
-their block-row forms in the package).
+their block-row forms in the package), and M assembled from eight symbol
+windows (against ``build_m``'s four windows of the two shifted rows).
 """
 
 from __future__ import annotations
@@ -151,6 +152,34 @@ def inclusions_per_symbol(data: DataSet, g: LaurentPoly) -> tuple:
         (de + gs * be - e_q).project(SubspaceTag.MINUS).sup_norm(),
         (g * de + be).project(SubspaceTag.PLUS).sup_norm(),
     )
+
+
+def build_m_eight_windows(data: DataSet, N: int) -> np.ndarray:
+    """M's window from the eight symbol windows and block-diagonal corner inverses.
+
+    The windows are T+(alpha), T+(z beta), H-(gamma), H-(z delta), H+(beta),
+    H+(alpha/z), T-(delta) and T-(gamma/z); the corner inverses enter as
+    np.kron(I_N, a0^-1) and np.kron(I_N, d0^-1).
+    """
+    a0inv, d0inv = data.corner_inverses()
+    da = np.kron(np.eye(N), a0inv)
+    dd = np.kron(np.eye(N), d0inv)
+    al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
+    tp_a = build(OpKind.TOEPLITZ_PLUS, al, N)
+    tp_lb = build(OpKind.TOEPLITZ_PLUS, be.shifted(1), N)
+    hm_g = build(OpKind.HANKEL_MINUS, ga, N)
+    hm_ld = build(OpKind.HANKEL_MINUS, de.shifted(1), N)
+    hp_b = build(OpKind.HANKEL_PLUS, be, N)
+    hp_la = build(OpKind.HANKEL_PLUS, al.shifted(-1), N)
+    tm_d = build(OpKind.TOEPLITZ_MINUS, de, N)
+    tm_lg = build(OpKind.TOEPLITZ_MINUS, ga.shifted(-1), N)
+    n = N * data.p
+    out = np.empty((N * (data.p + data.q),) * 2, dtype=complex)
+    out[:n, :n] = tp_a @ da @ tp_a.conj().T - tp_lb @ dd @ tp_lb.conj().T
+    out[n:, :n] = hm_g @ da @ tp_a.conj().T - hm_ld @ dd @ tp_lb.conj().T
+    out[:n, n:] = hp_b @ dd @ tm_d.conj().T - hp_la @ da @ tm_lg.conj().T
+    out[n:, n:] = tm_d @ dd @ tm_d.conj().T - tm_lg @ da @ tm_lg.conj().T
+    return out
 
 
 # -- structured identities ------------------------------------------------------

@@ -179,6 +179,20 @@ def test_nonpositive_order_refused(problem_file, g_file, capsys, command, order)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["truncated", "all", "invert"])
+def test_unallocatable_window_refused(tmp_path, g_file, capsys, command):
+    # a 10^6-block window needs tens of TiB: a one-line error and exit 2, no traceback
+    path = str(tmp_path / "p.json")
+    argv = ["synthesize", "--random", "--p", "1", "--q", "1", "--m", "2", "--norm", "0.5"]
+    assert cli.main(argv + ["--seed", "1", path]) == 0
+    capsys.readouterr()
+    argv = ["invert", g_file] if command == "invert" else ["solve", path, "--method", command]
+    assert cli.main(argv + ["--order", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 @pytest.mark.parametrize("command", ["solve", "check", "verify", "invert"])
 def test_bad_tol_refused(problem_file, g_file, capsys, command, tol):
@@ -236,6 +250,12 @@ def test_invert_builds_each_window_once(monkeypatch, tmp_path):
     io_json.write_json(gpath, io_json.poly_to_json(g))
     assert cli.main(["invert", str(gpath)]) == 0
     assert calls and len(set(calls)) == len(calls)
+    # M is four windows of the two shifted rows; one invert builds at most 12
+    assert len(calls) <= 12
+    data = hv.synthesize_data(g).data
+    calls.clear()
+    hv.build_m(data, 5)
+    assert len(calls) == 4
 
 
 def test_exit_code_is_function_of_report():

@@ -8,7 +8,7 @@ from hankelinv import DataSet, LaurentPoly
 from hankelinv.errors import ShapeError, SingularCornerError
 
 from conftest import random_poly
-from support import corner_solve_data, trivial_data
+from support import build_m_eight_windows, corner_solve_data, trivial_data
 
 
 # -- DataSet ------------------------------------------------------------------
@@ -94,6 +94,24 @@ def test_variants_agree(seed):
     fx = hv.random_fixture(p=2, q=2, m=3, target_norm=0.6, rng_seed=seed)
     N = 4 * fx.data.m + 4
     assert hv.check_lemma_suite(fx.data, N)["variant_agreement"] <= 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 3), (3, 3)])
+def test_build_m_matches_eight_window_reference(rng, p, q):
+    # four windows of the shifted rows against eight symbol windows and np.kron,
+    # on synthesized data and on symbols that satisfy no identity
+    m = 3
+    free = DataSet(
+        alpha=random_poly(rng, p, p, range(0, m + 1)),
+        beta=random_poly(rng, p, q, range(0, m + 1)),
+        gamma=random_poly(rng, q, p, range(-m, 1)),
+        delta=random_poly(rng, q, q, range(-m, 1)),
+    )
+    assert min(hv.identity_residual_triple(free)) > 0.1
+    for data in (hv.random_fixture(p, q, m, 0.8, rng_seed=p + q).data, free):
+        for N in (1, m, m + 1, 2 * m + 5):
+            ref = build_m_eight_windows(data, N)
+            assert np.max(np.abs(hv.build_m(data, N) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("p,q,N", [(1, 1, 3), (2, 1, 4), (2, 3, 9)])
