@@ -13,7 +13,7 @@ from .series import (
     lp_mul,
     poly_gap,
 )
-from .structured import OpKind, build
+from .structured import OpKind, build, tri_toeplitz_solve
 from .inversion import (
     DataSet,
     build_m,
@@ -41,7 +41,6 @@ from .solver import (
     solve_factorization,
     solve_polynomial,
     solve_truncated,
-    tri_toeplitz_solve,
 )
 from .oracle import Fixture, random_fixture, synthesize_data
 from . import errors

@@ -14,6 +14,7 @@ machine-readable reports to stdout; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import diagnostics, io_json, oracle, solver
@@ -190,7 +191,9 @@ def cmd_invert(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     ap = argparse.ArgumentParser(
         prog="hankelinv",
         description="Structured inverse problems for matrix symbols on the unit circle.",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, ShapeError, SingularCornerError
-from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, identity_residual_triple
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, b_side, identity_residual_triple
 from .series import LaurentPoly, SubspaceTag
 from .structured import OpKind, build
 
@@ -269,10 +269,8 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
     entries += check_zero_locations(data).entries
 
     if g is None and not CheckReport(entries).any_fail:
-        from .solver import _b_side_blocks  # deferred: solver imports this module
-
         try:
-            g = LaurentPoly.from_run(0, _b_side_blocks(data))
+            g = b_side(data)
         except ValueError:
             g = None
     if g is not None:

@@ -17,6 +17,11 @@ form of M.
 C = [gamma delta] (degrees -m..0) of X = [[alpha, beta], [gamma, delta]];
 with J = diag(I, -I) the data identities are the blocks of
 X* J X = A*A - C*C = diag(a0, -d0).
+
+For polynomial data g is fixed by either of the two inclusions that are
+linear in it, and each is one lower triangular block Toeplitz solve:
+``b_side`` solves (g delta + beta)_+ = 0 and ``c_side``
+(g* alpha + gamma)_- = 0.
 """
 
 from __future__ import annotations
@@ -27,9 +32,8 @@ import numpy as np
 
 from .errors import ShapeError, SingularCornerError
 from .series import LaurentPoly, SubspaceTag
-from .structured import OpKind, build, corner_residual
+from .structured import CORNER_COND_LIMIT, OpKind, build, corner_residual, tri_toeplitz_solve
 
-CORNER_COND_LIMIT = 1e12
 DEFAULT_TOL = 1e-10
 IDENTITY_NAMES = ("identity_a", "identity_d", "identity_cross")
 
@@ -317,3 +321,32 @@ def identity_residual_triple(data: DataSet):
     jd = np.block([[data.a0, np.zeros((p, q))], [np.zeros((q, p)), -data.d0]])
     res = (a.adjoint() * a - c.adjoint() * c - LaurentPoly.constant(jd)).coeff_run(-m, 2 * m + 1)
     return tuple(_maxabs(blk) for blk in (res[:, :p, :p], res[:, p:, p:], res[:, :p, p:]))
+
+
+# -- the two inclusion sides ------------------------------------------------
+
+
+def c_side(data: DataSet) -> LaurentPoly:
+    """g from (g* alpha + gamma)_- = 0, upper triangular in g.
+
+    Read bottom to top, the upper system with first block row alpha_j* is
+    the lower one with the same blocks as its first column, driven by
+    gamma's degrees -m, ..., 0; its solution comes out highest degree first.
+    """
+    m = data.m
+    acols = data.alpha.coeff_run(0, m + 1).conj().transpose(0, 2, 1)
+    rhs = -data.gamma.coeff_run(-m, m + 1).conj().transpose(0, 2, 1)
+    return LaurentPoly.from_run(0, tri_toeplitz_solve(acols, rhs)[::-1])
+
+
+def b_side(data: DataSet) -> LaurentPoly:
+    """g from (g delta + beta)_+ = 0, upper triangular in g.
+
+    Transposed and read bottom to top, it is the lower system with first
+    block column delta_0^T, ..., delta_{-m}^T, driven by beta's degrees m,
+    ..., 0; its solution comes out highest degree first.
+    """
+    m = data.m
+    dcols = data.delta.coeff_run(-m, m + 1)[::-1].transpose(0, 2, 1)
+    rhs = -data.beta.coeff_run(0, m + 1)[::-1].transpose(0, 2, 1)
+    return LaurentPoly.from_run(0, tri_toeplitz_solve(dcols, rhs)[::-1].transpose(0, 2, 1))

@@ -18,10 +18,13 @@ from .errors import ParseError
 from .inversion import DataSet
 from .series import LaurentPoly
 
-# Largest degree span (in coefficient blocks) accepted from a file.  A
-# series is stored densely over its span, so the bound caps what a file
-# can make the reader allocate.
-_MAX_SPAN_BLOCKS = 2**16
+# Most dense complex entries a file may imply: 2**20 (16 MiB), far above
+# the few thousand of any file the tests, CI or the benchmark write.  A
+# symbol file implies span x rows x cols (one block at least), a problem
+# file its rows [alpha beta] and [gamma delta] over degrees 0..m,
+# (m+1)(p+q)^2, which hold a0, d0 and the size of every list.  Both counts
+# come from the header and the degrees, before anything is allocated.
+_MAX_DENSE_ENTRIES = 2**20
 
 
 # -- low-level writer ---------------------------------------------------------
@@ -112,9 +115,10 @@ def _poly_from_coeff_list(obj, rows, cols, lo=None, hi=None, name="symbol") -> L
         degs.add(deg)
     # a series stores every block between its extreme degrees
     first, last = min(degs, default=0), max(degs, default=-1)
-    if last - first + 1 > _MAX_SPAN_BLOCKS:
+    if max(last - first + 1, 1) * rows * cols > _MAX_DENSE_ENTRIES:
         raise ParseError(
-            f"{name}: degrees {first}..{last} span more than {_MAX_SPAN_BLOCKS} blocks"
+            f"{name}: {rows}x{cols} blocks over degrees {first}..{last} "
+            f"imply more than {_MAX_DENSE_ENTRIES} dense entries"
         )
     run = np.zeros((last - first + 1, rows, cols), dtype=complex)
     if obj:
@@ -164,8 +168,10 @@ def problem_from_json(obj):
         raise ParseError("problem file needs integer 'p', 'q', 'm'") from exc
     if p < 1 or q < 1 or m < 0:
         raise ParseError("p, q must be positive and m nonnegative")
-    if m + 1 > _MAX_SPAN_BLOCKS:
-        raise ParseError(f"degree bound m = {m} spans more than {_MAX_SPAN_BLOCKS} blocks")
+    if (m + 1) * (p + q) ** 2 > _MAX_DENSE_ENTRIES:
+        raise ParseError(
+            f"p = {p}, q = {q}, m = {m} imply more than {_MAX_DENSE_ENTRIES} dense entries"
+        )
     shapes = {
         "alpha": (p, p, 0, m),
         "beta": (p, q, 0, m),

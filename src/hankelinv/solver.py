@@ -1,17 +1,13 @@
-"""Recovery of the analytic symbol g from a data set.
+"""The recovery routes: the analytic symbol g from a data set.
 
-Two independent computations stand under every polynomial-side answer,
-each one lower triangular block Toeplitz solve of one inclusion: the
-b-side solves (g delta + beta)_+ = 0, the c-side (g* alpha + gamma)_- = 0.
-
-* ``solve_polynomial`` - exact closed-form coefficients from the b-side,
-  with the gap to the c-side reported;
+* ``solve_polynomial`` - exact closed-form coefficients from the b-side
+  of ``inversion``, with the gap to the c-side reported;
 * ``solve_factorization`` - the analytic-factorization view of the same
   two sides: the alpha path is the c-side, the delta path the b-side, each
   available whenever its determinant has no zeros on the wrong side of
   the circle;
-* ``solve_dual_phi`` - the dual minus-side symbol, phi = g* for the b-side
-  g;
+* ``solve_dual_phi`` - the dual minus-side symbol phi, which is g* of the
+  polynomial route;
 * ``solve_truncated`` - the independent operator route: solve the
   windowed systems M11 x = b and M22 y = c and read the coefficients off
   the columns, with smallest-singular-value certificates for the
@@ -19,9 +15,7 @@ b-side solves (g delta + beta)_+ = 0, the c-side (g* alpha + gamma)_- = 0.
   because every factor of M11 and M22 is a triangular block Toeplitz
   matrix that commutes with the window projection.
 
-``tri_toeplitz_solve`` is the shared structured kernel: an O(m^2)
-chunked solver for lower triangular block Toeplitz systems of any block
-size, on (n, k, k) and (m, k, r) block arrays.
+Every route passes the same identity gate first.
 """
 
 from __future__ import annotations
@@ -31,23 +25,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .errors import (
-    DataIdentityError,
-    FactorizationUnavailableError,
-    InjectivityError,
-    ShapeError,
-    SingularBlockError,
-)
+from .errors import DataIdentityError, FactorizationUnavailableError, InjectivityError
 from .inversion import (
-    CORNER_COND_LIMIT,
     DEFAULT_TOL,
     IDENTITY_NAMES,
     DataSet,
+    b_side,
     build_m,
+    c_side,
     identity_residual_triple,
 )
 from .series import LaurentPoly, poly_gap
-from .structured import _block_toeplitz
+from .structured import tri_toeplitz_solve  # noqa: F401  benchmark/tracer.py patches it by this name
 
 REFUSAL_FACTOR = 100.0
 
@@ -68,76 +57,6 @@ class SolveReport:
     @property
     def accepted(self) -> bool:
         return max(self.residual_inclusions) <= self.tol
-
-
-# -- triangular block Toeplitz kernel ----------------------------------------
-
-_CHUNK = 64
-
-
-def _block_array(a, what):
-    """``a`` as a finite complex (n, rows, cols) array."""
-    try:
-        arr = np.asarray(a, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise ShapeError(f"{what} blocks must share one shape: {exc}") from exc
-    if arr.ndim != 3:
-        raise ShapeError(f"{what} must be an (n, rows, cols) block array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} blocks must be finite")
-    return arr
-
-
-def tri_toeplitz_solve(t, b):
-    """Solve a lower triangular block Toeplitz system T x = b.
-
-    Parameters
-    ----------
-    t : (n, k, k) array
-        ``t[j]`` is the block on the j-th block subdiagonal, so ``t`` is
-        the first block column; ``t[0]`` must be invertible and blocks
-        past ``n - 1`` are zero.
-    b : (m, k, r) array
-        Right-hand side block column; ``m`` sets the system size.
-
-    Returns
-    -------
-    (m, k, r) array
-
-    Notes
-    -----
-    Cost is O(m^2) block products: each chunk of 64 block rows is one
-    solve against the same chunk matrix, followed by a block Toeplitz
-    update of the rows below it.
-    """
-    t = _block_array(t, "coefficient")
-    b = _block_array(b, "right-hand side")
-    n, k = t.shape[0], t.shape[1]
-    if n == 0:
-        raise ShapeError("need at least the diagonal block")
-    if t.shape[2] != k:
-        raise ShapeError("coefficient blocks must be square")
-    m, r = b.shape[0], b.shape[2]
-    if b.shape[1] != k:
-        raise ShapeError(f"right-hand side blocks must have {k} rows")
-    if m == 0:
-        return np.zeros((0, k, r), dtype=complex)
-    if np.linalg.cond(t[0]) > CORNER_COND_LIMIT:
-        raise SingularBlockError("diagonal block of the triangular system is singular")
-
-    T = np.zeros((m, k, k), dtype=complex)
-    T[: min(m, n)] = t[:m]
-    ln = min(_CHUNK, m)
-    lower = _block_toeplitz(np.concatenate([np.zeros_like(T[: ln - 1]), T[:ln]]), ln)
-    x = b.reshape(m * k, r).copy()
-    for s in range(0, m, _CHUNK):
-        e = min(s + _CHUNK, m)
-        w = e - s
-        x[s * k : e * k] = np.linalg.solve(lower[: w * k, : w * k], x[s * k : e * k])
-        if e < m:
-            # rows e..m-1 see the chunk through the blocks T[e-s+i-j]
-            x[e * k :] -= _block_toeplitz(T[1 : m - s], w) @ x[s * k : e * k]
-    return x.reshape(m, k, r)
 
 
 # -- shared gates -------------------------------------------------------------
@@ -176,32 +95,6 @@ def _report(data, g, method, id_res, tol, flags, details):
 # -- polynomial route ----------------------------------------------------------
 
 
-def _c_side_blocks(data: DataSet):
-    """Coefficients from the upper triangular system driven by a and c.
-
-    Read bottom to top, the upper system with first block row alpha_j* is
-    the lower one with the same blocks as its first column, driven by
-    gamma's degrees -m, ..., 0; its solution comes out highest degree first.
-    """
-    m = data.m
-    acols = data.alpha.coeff_run(0, m + 1).conj().transpose(0, 2, 1)
-    rhs = -data.gamma.coeff_run(-m, m + 1).conj().transpose(0, 2, 1)
-    return tri_toeplitz_solve(acols, rhs)[::-1]
-
-
-def _b_side_blocks(data: DataSet):
-    """Coefficients from (g delta + beta)_+ = 0, upper triangular in g.
-
-    Transposed and read bottom to top, it is the lower system with first
-    block column delta_0^T, ..., delta_{-m}^T, driven by beta's degrees m,
-    ..., 0; its solution comes out highest degree first.
-    """
-    m = data.m
-    dcols = data.delta.coeff_run(-m, m + 1)[::-1].transpose(0, 2, 1)
-    rhs = -data.beta.coeff_run(0, m + 1)[::-1].transpose(0, 2, 1)
-    return tri_toeplitz_solve(dcols, rhs)[::-1].transpose(0, 2, 1)
-
-
 def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     """Closed-form coefficients of g for polynomial data of degree <= m.
 
@@ -211,10 +104,8 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     data.corner_inverses()
     flags = []
     id_res = _identity_gate(data, tol, flags)
-    gb = _b_side_blocks(data)
-    gap = float(np.max(np.abs(gb - _c_side_blocks(data))))
-    g = LaurentPoly.from_run(0, gb)
-    details = {"two_sided_gap": gap, "degree_bound": data.m}
+    g = b_side(data)
+    details = {"two_sided_gap": poly_gap(g, c_side(data)), "degree_bound": data.m}
     return _report(data, g, "polynomial", id_res, tol, flags, details)
 
 
@@ -347,9 +238,9 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
 
     g1 = g2 = None
     if verdict_a == "pass":
-        g1 = LaurentPoly.from_run(0, _c_side_blocks(data))
+        g1 = c_side(data)
     if verdict_d == "pass":
-        g2 = LaurentPoly.from_run(0, _b_side_blocks(data))
+        g2 = b_side(data)
 
     if g1 is None and g2 is None:
         raise FactorizationUnavailableError(
@@ -377,18 +268,9 @@ def solve_dual_phi(data: DataSet, tol: float = DEFAULT_TOL) -> LaurentPoly:
     phi satisfies delta + phi beta - e_q in the strictly-plus class and
     phi* delta + beta in the strictly-minus class.  With phi* = g the
     second is the b-side system (g delta + beta)_+ = 0, so phi = g* for the
-    b-side g exactly, for any data with d0 invertible.  Refuses when the
-    second data identity is violated beyond the refusal threshold.
+    g of ``solve_polynomial``, under that route's refusals.
     """
-    data.corner_inverses()
-    res = identity_residual_triple(data)
-    if res[1] > REFUSAL_FACTOR * tol:
-        raise DataIdentityError(
-            f"second data identity residual {res[1]:.3e} too large for the dual solve",
-            residuals=res,
-            worst="identity_d",
-        )
-    return LaurentPoly.from_run(0, _b_side_blocks(data)).adjoint()
+    return solve_polynomial(data, tol=tol).g.adjoint()
 
 
 # -- method aggregation --------------------------------------------------------

@@ -12,6 +12,11 @@ conservative exact margin: ``margin = N - sum(symbol support widths)``.
 The margin sub-window hugs the anchored corner of each space (top rows for
 a plus codomain, bottom rows for a minus codomain, and likewise for the
 domain columns).
+
+``tri_toeplitz_solve`` is the package's one structured kernel: an O(m^2)
+chunked solver for lower triangular block Toeplitz systems of any block
+size, on (n, k, k) and (m, k, r) block arrays, whose chunk matrices are
+windows of the same strided builder.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ import enum
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, SingularBlockError
+
+CORNER_COND_LIMIT = 1e12
+_CHUNK = 64
 
 
 class OpKind(enum.Enum):
@@ -39,6 +47,71 @@ def _block_toeplitz(seq, n_cols):
     c = seq.shape[2]
     win = np.lib.stride_tricks.sliding_window_view(seq, n_cols, axis=0)[..., ::-1]
     return win.transpose(0, 1, 3, 2).reshape(-1, n_cols * c, copy=True)
+
+
+def _block_array(a, what):
+    """``a`` as a finite complex (n, rows, cols) array."""
+    try:
+        arr = np.asarray(a, dtype=complex)
+    except (ValueError, TypeError) as exc:
+        raise ShapeError(f"{what} blocks must share one shape: {exc}") from exc
+    if arr.ndim != 3:
+        raise ShapeError(f"{what} must be an (n, rows, cols) block array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} blocks must be finite")
+    return arr
+
+
+def tri_toeplitz_solve(t, b):
+    """Solve a lower triangular block Toeplitz system T x = b.
+
+    Parameters
+    ----------
+    t : (n, k, k) array
+        ``t[j]`` is the block on the j-th block subdiagonal, so ``t`` is
+        the first block column; ``t[0]`` must be invertible and blocks
+        past ``n - 1`` are zero.
+    b : (m, k, r) array
+        Right-hand side block column; ``m`` sets the system size.
+
+    Returns
+    -------
+    (m, k, r) array
+
+    Notes
+    -----
+    Cost is O(m^2) block products: each chunk of 64 block rows is one
+    solve against the same chunk matrix, followed by a block Toeplitz
+    update of the rows below it.
+    """
+    t = _block_array(t, "coefficient")
+    b = _block_array(b, "right-hand side")
+    n, k = t.shape[0], t.shape[1]
+    if n == 0:
+        raise ShapeError("need at least the diagonal block")
+    if t.shape[2] != k:
+        raise ShapeError("coefficient blocks must be square")
+    m, r = b.shape[0], b.shape[2]
+    if b.shape[1] != k:
+        raise ShapeError(f"right-hand side blocks must have {k} rows")
+    if m == 0:
+        return np.zeros((0, k, r), dtype=complex)
+    if np.linalg.cond(t[0]) > CORNER_COND_LIMIT:
+        raise SingularBlockError("diagonal block of the triangular system is singular")
+
+    T = np.zeros((m, k, k), dtype=complex)
+    T[: min(m, n)] = t[:m]
+    ln = min(_CHUNK, m)
+    lower = _block_toeplitz(np.concatenate([np.zeros_like(T[: ln - 1]), T[:ln]]), ln)
+    x = b.reshape(m * k, r).copy()
+    for s in range(0, m, _CHUNK):
+        e = min(s + _CHUNK, m)
+        w = e - s
+        x[s * k : e * k] = np.linalg.solve(lower[: w * k, : w * k], x[s * k : e * k])
+        if e < m:
+            # rows e..m-1 see the chunk through the blocks T[e-s+i-j]
+            x[e * k :] -= _block_toeplitz(T[1 : m - s], w) @ x[s * k : e * k]
+    return x.reshape(m, k, r)
 
 
 def build(kind: OpKind, symbol, n_blocks: int) -> np.ndarray:

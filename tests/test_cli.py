@@ -217,6 +217,19 @@ def test_order_refused_without_window(problem_file, capsys, method):
         assert cli.main(["solve", problem_file, "--method", windowed, "--order", "3"]) == 0
 
 
+def test_calls_in_one_process_share_no_options(problem_file, capsys):
+    # the parser is built once per process; an --order given to one call
+    # must not carry over to the next
+    assert cli.main(["solve", problem_file, "--method", "truncated", "--order", "3"]) == 0
+    assert cli.main(["check", problem_file]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", problem_file, "--method", "poly"]) == 0
+    captured = capsys.readouterr()
+    assert "--order" not in captured.err
+    assert json.loads(captured.out)["method"] == "polynomial"
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_invert_emits_strict_json(tmp_path, capsys):
     # 0.1 + 0.2 z^8 at order 10 leaves undefined residuals, written as null
     gpath = tmp_path / "g8.json"
@@ -377,19 +390,28 @@ def test_problem_file_schema_validation(tmp_path, problem_file):
 
 def test_far_apart_degrees_refused_before_allocation(tmp_path, problem_file):
     # a series is stored densely over its span: degrees 0 and 10^9 would
-    # ask for 10^9 blocks, so the reader must refuse from the degrees alone
-    gpath = tmp_path / "far.json"
-    gpath.write_text(json.dumps({
-        "rows": 1, "cols": 1,
-        "coeffs": [{"deg": 0, "mat": [[[0.5, 0.0]]]}, {"deg": 10**9, "mat": [[[0.1, 0.0]]]}],
-    }))
-    tracemalloc.start()
-    try:
-        assert cli.main(["verify", problem_file, str(gpath)]) == 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**7
+    # ask for 10^9 blocks, so the reader must refuse from the degrees alone;
+    # 8x8 blocks at degrees 0 and 65535 (4.2e6 entries) and a 2000x2000
+    # corner a0 (4e6 entries) are refused from the header and degrees too
+    far = [{"deg": 0, "mat": [[[0.5, 0.0]]]}, {"deg": 10**9, "mat": [[[0.1, 0.0]]]}]
+    wide_block = [[[0.1, 0.0]] * 8] * 8
+    wide = [{"deg": 0, "mat": wide_block}, {"deg": 65535, "mat": wide_block}]
+    cases = [
+        ("far.json", {"rows": 1, "cols": 1, "coeffs": far}, ["verify", problem_file]),
+        ("wide.json", {"rows": 8, "cols": 8, "coeffs": wide}, ["verify", problem_file]),
+        ("corner.json", {"p": 2000, "q": 1, "m": 0, "alpha": [], "beta": [], "gamma": [],
+                         "delta": []}, ["solve"]),
+    ]
+    for name, doc, command in cases:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            assert cli.main(command + [str(path)]) == 2, name
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7, (name, peak)
 
     huge_m = io_json.read_json(problem_file)
     huge_m["m"] = 10**9

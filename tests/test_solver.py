@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import DataSet, LaurentPoly, solver
+from hankelinv import DataSet, LaurentPoly, inversion, solver
 from hankelinv.errors import (
     DataIdentityError,
     FactorizationUnavailableError,
@@ -202,11 +202,10 @@ def test_b_side_vs_dense_upper_system(rng, p, q, m):
     beta = rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))
     data = DataSet(alpha=LaurentPoly.identity(p), beta=LaurentPoly.from_run(0, beta),
                    gamma=LaurentPoly.zero(q, p), delta=LaurentPoly.from_run(-m, dblocks[::-1]))
-    got = solver._b_side_blocks(data)
+    g = inversion.b_side(data)
     rhs = -beta.transpose(1, 0, 2).reshape(p, (m + 1) * q)
     want = np.linalg.solve(dense.T, rhs.T).T.reshape(p, m + 1, q).transpose(1, 0, 2)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    g = LaurentPoly.from_run(0, got)
+    assert np.max(np.abs(g.coeff_run(0, m + 1) - want)) <= 1e-12 * np.max(np.abs(want))
     assert hv.verify_solution(data, g).entry("g_delta_beta").value <= 1e-12 * np.max(np.abs(beta))
 
 
@@ -381,6 +380,20 @@ def test_dual_phi_adjoint_matches_g():
     fx = hv.random_fixture(p=3, q=2, m=3, target_norm=0.6, rng_seed=55)
     phi = hv.solve_dual_phi(fx.data)
     assert hv.poly_gap(phi.adjoint(), fx.g) <= 1e-10
+
+
+def test_dual_phi_refuses_under_the_shared_gate():
+    # alpha's degree-1 coefficient bumped: identity_a and identity_cross
+    # read 1.3e-3 and 4.4e-4 while identity_d stays at rounding level
+    d = hv.random_fixture(p=2, q=1, m=3, target_norm=0.6, rng_seed=5).data
+    bumped = DataSet(alpha=d.alpha + LaurentPoly.single(1, 1e-3 * np.ones((2, 2))),
+                     beta=d.beta, gamma=d.gamma, delta=d.delta)
+    res = hv.identity_residual_triple(bumped)
+    assert res[1] <= 1e-14 and min(res[0], res[2]) > 1e-4
+    for solve in (hv.solve_polynomial, hv.solve_dual_phi):
+        with pytest.raises(DataIdentityError) as info:
+            solve(bumped)
+        assert info.value.worst == "identity_a"
 
 
 # -- cross-method properties ----------------------------------------------------------
