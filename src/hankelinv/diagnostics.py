@@ -6,9 +6,13 @@ value <= threshold; ``inconclusive`` is reserved for empty margins,
 circle-adjacent zeros and checks whose precondition failed.
 
 Both identity triples are block products of the rows A = [alpha beta] and
-C = [gamma delta] of X (``DataSet.rows``): X* J X = diag(a0, -d0) and
+C = [gamma delta] of X (``DataSet.x_run``): X* J X = diag(a0, -d0) and
 X D X* = J, with J = diag(I, -I) and D = diag(a0^-1, -d0^-1).  An analytic
 g is verified on (A + g C - [I 0])_+ = 0 and (g* A + C - [0 I])_- = 0.
+Each family is a pointwise product of the values of X on the data set's
+grid (``DataSet.spectrum``, computed once per data set) read back with one
+inverse FFT, so its residuals carry round-off of about eps |f| |g| times
+the width and are exactly zero in every degree the supports cannot reach.
 
 The zero-location check finds no zero.  It asks only whether every zero
 of a determinant lies outside a circle of radius r, and answers by the
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateError, ShapeError, SingularCornerError
-from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, b_side, identity_residual_triple
-from .series import LaurentPoly, SubspaceTag
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet
+from .series import CircleGrid, LaurentPoly, SubspaceTag
 from .structured import OpKind, build
 
 CIRCLE_BAND = 1e-8
@@ -88,7 +92,7 @@ def _residual_entry(name, value, threshold):
 
 def _identity_entries(data: DataSet, tol: float) -> list:
     """Entries for the direct identity triple alone."""
-    res = identity_residual_triple(data)
+    res = data.identity_residuals
     return [_residual_entry(n, r, tol) for n, r in zip(IDENTITY_NAMES, res)]
 
 
@@ -107,13 +111,15 @@ def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
     except SingularCornerError:
         entries.append(CheckEntry("dual_triple", float("nan"), tol, "inconclusive"))
         return CheckReport(entries)
-    p, q = data.p, data.q
-    d = LaurentPoly.constant(np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]]))
-    a, c = data.rows()
-    ad = a * d
-    s1 = (ad * a.adjoint() - LaurentPoly.identity(p)).sup_norm()
-    s2 = (c * d * c.adjoint() + LaurentPoly.identity(q)).sup_norm()
-    s3 = (ad * c.adjoint()).sup_norm()
+    # X D X* with X = [A; z^m C]: the factors z^m cancel in C D C*, and
+    # shift A D C* by m degrees, which leaves its sup norm as it is
+    grid, x, mask_a, mask_c = data.spectrum
+    p, q, m = data.p, data.q, data.m
+    mask = mask_a | mask_c
+    d = np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]])
+    res = grid.coeffs(x @ d @ x.conj().transpose(0, 2, 1), -m, 2 * m + 1, (0, mask), (-m, mask[::-1]))
+    res[m] -= np.diag(np.repeat([1.0, -1.0], [p, q]))
+    s1, s2, s3 = (np.abs(blk).max() for blk in (res[:, :p, :p], res[:, p:, p:], res[:, :p, p:]))
     entries += [
         _residual_entry("dual_a", s1, tol),
         _residual_entry("dual_d", s2, tol),
@@ -270,7 +276,7 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
 
     if g is None and not CheckReport(entries).any_fail:
         try:
-            g = b_side(data)
+            g = data.g_b
         except ValueError:
             g = None
     if g is not None:
@@ -297,18 +303,33 @@ def verify_solution(data: DataSet, g: LaurentPoly, tol: float = DEFAULT_TOL) -> 
         raise ShapeError(f"g must be {(data.p, data.q)}, got {g.shape}")
     if not g.in_subspace(SubspaceTag.PLUS):
         raise ShapeError("g must be supported on degrees >= 0")
-    p, n = data.p, max(data.m, 0 if g.is_zero else g.hi) + 1  # residual degrees 1-n..n-1
-    units = np.eye(p + data.q)
-    a, c = data.rows()
-    plus = (a + g * c - LaurentPoly.constant(units[:p])).coeff_run(0, n)
-    minus = (g.adjoint() * a + c - LaurentPoly.constant(units[p:])).coeff_run(1 - n, n)
+    # with X = [A; z^m C], g C is z^-m times g (z^m C): its degrees 0..n-1
+    # are degrees m..m+n-1 of the product on the grid
+    p, q, m = data.p, data.q, data.m
+    h = 0 if g.is_zero else g.hi
+    n = max(m, h) + 1  # residual degrees 1-n..n-1
+    a, c = data.x_run[:, :p], data.x_run[:, p:]
+    if h <= m:
+        grid, x, mask_a, mask_c = data.spectrum
+    else:  # g C and g* A span m+h+1 degrees, more than the data's grid holds
+        grid = CircleGrid(m + h + 1)
+        x, mask_a, mask_c = grid.values(data.x_run), a.any(axis=(1, 2)), c.any(axis=(1, 2))
+    run = g.coeff_run(0, h + 1)
+    gx, mg = grid.values(run), run.any(axis=(1, 2))
+    plus = grid.coeffs(gx @ x[:, p:], m, n, (0, mg), (0, mask_c))
+    minus = grid.coeffs(gx.conj().transpose(0, 2, 1) @ x[:, :p], 1 - n, n, (-h, mg[::-1]), (0, mask_a))
+    plus[: m + 1] += a
+    plus[0, :, :p] -= np.eye(p)
+    minus[n - m - 1 :] += c
+    minus[-1, :, p:] -= np.eye(q)
+    plus, minus = np.abs(plus).max(axis=0), np.abs(minus).max(axis=0)
     res = {
-        "alpha_g_gamma": plus[:, :, :p],
-        "gstar_alpha_gamma": minus[:, :, :p],
-        "delta_gstar_beta": minus[:, :, p:],
-        "g_delta_beta": plus[:, :, p:],
+        "alpha_g_gamma": plus[:, :p],
+        "gstar_alpha_gamma": minus[:, :p],
+        "delta_gstar_beta": minus[:, p:],
+        "g_delta_beta": plus[:, p:],
     }
-    return CheckReport([_residual_entry(k, np.abs(v).max(), tol) for k, v in res.items()])
+    return CheckReport([_residual_entry(k, v.max(), tol) for k, v in res.items()])
 
 
 def inclusion_residuals(data: DataSet, g: LaurentPoly):

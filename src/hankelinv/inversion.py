@@ -13,25 +13,35 @@ index.  ``check_lemma_suite`` compares that window with the defining
 products, whose shift factors are explicit, and with the Hankel-product
 form of M.
 
-``DataSet.rows`` returns the block rows A = [alpha beta] (degrees 0..m) and
+``DataSet.x_run`` holds the block rows A = [alpha beta] (degrees 0..m) and
 C = [gamma delta] (degrees -m..0) of X = [[alpha, beta], [gamma, delta]];
 with J = diag(I, -I) the data identities are the blocks of
-X* J X = A*A - C*C = diag(a0, -d0).
+X* J X = A*A - C*C = diag(a0, -d0).  These are pointwise statements on the
+unit circle, and ``DataSet.spectrum`` evaluates X once on a ``CircleGrid``
+of at least 2m+1 points (C as z^m C, a factor of modulus 1 there), so each
+residual family of the data (the identity triple, the dual triple, each
+inclusion) is one pointwise product and one inverse FFT.
 
 For polynomial data g is fixed by either of the two inclusions that are
 linear in it, and each is one lower triangular block Toeplitz solve:
 ``b_side`` solves (g delta + beta)_+ = 0 and ``c_side``
 (g* alpha + gamma)_- = 0.
+
+A data set is immutable (its series are, and a0 and d0 are read-only
+copies), so everything derived from it alone is computed on first use and
+kept on the instance: the rows and their values on the grid, the corner
+inverses, the identity triple and the two sides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ShapeError, SingularCornerError
-from .series import LaurentPoly, SubspaceTag
+from .series import CircleGrid, LaurentPoly, SubspaceTag
 from .structured import CORNER_COND_LIMIT, OpKind, build, corner_residual, tri_toeplitz_solve
 
 DEFAULT_TOL = 1e-10
@@ -71,7 +81,8 @@ class DataSet:
                 raise ShapeError(f"{name} has support outside its subspace")
         for name, sym, n in (("a0", self.alpha, p), ("d0", self.delta, q)):
             given = getattr(self, name)
-            corner = sym.coeff(0) if given is None else np.asarray(given, dtype=complex)
+            corner = np.array(sym.coeff(0) if given is None else given, dtype=complex)
+            corner.flags.writeable = False
             if corner.shape != (n, n):
                 raise ShapeError(f"{name} must be {(n, n)}, got {corner.shape}")
             if not np.isfinite(corner).all():
@@ -98,21 +109,64 @@ class DataSet:
         return self.m + 1
 
     def corner_inverses(self):
-        """(a0^-1, d0^-1); raises when either corner is near-singular."""
+        """(a0^-1, d0^-1), computed once; raises when either corner is near-singular."""
+        return self._corner_inverses
+
+    @cached_property
+    def _corner_inverses(self):
         for name, mat in (("a0", self.a0), ("d0", self.d0)):
             if np.linalg.cond(mat) > CORNER_COND_LIMIT:
                 raise SingularCornerError(
                     f"corner matrix {name} is numerically singular "
                     f"(cond > {CORNER_COND_LIMIT:.0e})"
                 )
-        return np.linalg.inv(self.a0), np.linalg.inv(self.d0)
+        inverses = np.linalg.inv(self.a0), np.linalg.inv(self.d0)
+        for mat in inverses:
+            mat.flags.writeable = False
+        return inverses
+
+    @cached_property
+    def x_run(self):
+        """X = [A; z^m C] as one read-only (m+1, p+q, p+q) run on degrees 0..m:
+        the row A = [alpha beta] (degrees 0..m) on top of the row
+        C = [gamma delta], whose degrees -m..0 sit at indices 0..m."""
+        n, p, s = self.extent(), self.p, self.p + self.q
+        x = np.empty((n, s, s), dtype=complex)
+        x[:, :p, :p] = self.alpha.coeff_run(0, n)
+        x[:, :p, p:] = self.beta.coeff_run(0, n)
+        x[:, p:, :p] = self.gamma.coeff_run(1 - n, n)
+        x[:, p:, p:] = self.delta.coeff_run(1 - n, n)
+        x.flags.writeable = False
+        return x
 
     def rows(self):
         """The block rows A = [alpha beta] and C = [gamma delta] as series."""
-        n = self.extent()
-        a = np.concatenate([self.alpha.coeff_run(0, n), self.beta.coeff_run(0, n)], 2)
-        c = np.concatenate([self.gamma.coeff_run(1 - n, n), self.delta.coeff_run(1 - n, n)], 2)
-        return LaurentPoly.from_run(0, a), LaurentPoly.from_run(1 - n, c)
+        x, p = self.x_run, self.p
+        return LaurentPoly.from_run(0, x[:, :p]), LaurentPoly.from_run(-self.m, x[:, p:])
+
+    @cached_property
+    def spectrum(self):
+        """(grid, values, mask_a, mask_c): X = [A; z^m C] evaluated on a
+        ``CircleGrid`` of at least 2m+1 points, and the masks of the degrees
+        0..m where A and z^m C have a non-zero block."""
+        x, p = self.x_run, self.p
+        grid = CircleGrid(2 * self.m + 1)
+        return grid, grid.values(x), x[:, :p].any(axis=(1, 2)), x[:, p:].any(axis=(1, 2))
+
+    @cached_property
+    def identity_residuals(self):
+        """``identity_residual_triple`` of this data set, computed once."""
+        return identity_residual_triple(self)
+
+    @cached_property
+    def g_b(self) -> LaurentPoly:
+        """g from the b-side inclusion, ``b_side`` solved once."""
+        return b_side(self)
+
+    @cached_property
+    def g_c(self) -> LaurentPoly:
+        """g from the c-side inclusion, ``c_side`` solved once."""
+        return c_side(self)
 
 
 # -- operator assembly ------------------------------------------------------
@@ -223,7 +277,7 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     p, q = data.p, data.q
     s = p + q
 
-    id_res = identity_residual_triple(data)
+    id_res = data.identity_residuals
     precondition_ok = max(id_res) <= tol
 
     mm, k, x, y = _assemble(data, N)
@@ -315,12 +369,27 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
 
 def identity_residual_triple(data: DataSet):
     """The three data-identity residuals (sup norm over degrees): the
-    top-left, bottom-right and top-right blocks of A*A - C*C - diag(a0, -d0)."""
-    a, c = data.rows()
-    p, q, m = data.p, data.q, data.m
-    jd = np.block([[data.a0, np.zeros((p, q))], [np.zeros((q, p)), -data.d0]])
-    res = (a.adjoint() * a - c.adjoint() * c - LaurentPoly.constant(jd)).coeff_run(-m, 2 * m + 1)
-    return tuple(_maxabs(blk) for blk in (res[:, :p, :p], res[:, p:, p:], res[:, :p, p:]))
+    top-left, bottom-right and top-right blocks of A*A - C*C - diag(a0, -d0).
+
+    With X = [A; z^m C] on the grid, A*A - C*C is X* J X pointwise, one
+    batched product and one inverse FFT over degrees -m..m.
+    """
+    grid, x, mask_a, mask_c = data.spectrum
+    p, m = data.p, data.m
+    mask = mask_a | mask_c
+    jx = x.copy()
+    jx[:, p:] *= -1
+    res = grid.coeffs(x.conj().transpose(0, 2, 1) @ jx, -m, 2 * m + 1, (-m, mask[::-1]), (0, mask))
+    res[m, :p, :p] -= data.a0
+    res[m, p:, p:] += data.d0
+    return _block_maxima(res, p)
+
+
+def _block_maxima(res, p):
+    """Largest absolute entries of the top-left, bottom-right and top-right
+    blocks (split at p) over a run of square coefficients."""
+    peak = np.abs(res).max(axis=0)
+    return float(peak[:p, :p].max()), float(peak[p:, p:].max()), float(peak[:p, p:].max())
 
 
 # -- the two inclusion sides ------------------------------------------------

@@ -61,24 +61,31 @@ def matrix_to_json(mat) -> list:
 def _matrices_from_json(mats, rows, cols, name):
     """Parse a list of rows x cols matrices of [re, im] pairs at once.
 
-    Every number must be a JSON integer or float that fits a finite
-    double; returns an (n, rows, cols) complex array.
+    One pass flattens the numbers while it checks every matrix, row and
+    pair for its length; every number must be a JSON integer or float that
+    fits a finite double.  Returns an (n, rows, cols) complex array.
     """
-    try:
-        parts = np.array(mats, dtype=object)
-    except ValueError as exc:
-        raise ParseError(f"{name}: malformed matrix entry: {exc}") from exc
-    if parts.shape != (len(mats), rows, cols, 2):
-        raise ParseError(f"{name}: each matrix must be {rows}x{cols} [re, im] pairs")
-    if not set(map(type, parts.flat)) <= {int, float}:
+    shape = f"{name}: each matrix must be {rows}x{cols} [re, im] pairs"
+    flat = []
+    for mat in mats:
+        if not isinstance(mat, list) or len(mat) != rows:
+            raise ParseError(shape)
+        for row in mat:
+            if not isinstance(row, list) or len(row) != cols:
+                raise ParseError(shape)
+            for pair in row:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ParseError(shape)
+                flat += pair
+    if not set(map(type, flat)) <= {int, float}:
         raise ParseError(f"{name}: matrix entries must be numbers")
     try:
-        vals = parts.astype(float)
+        vals = np.array(flat, dtype=float)
     except OverflowError as exc:
         raise ParseError(f"{name}: matrix entry out of range: {exc}") from exc
     if not np.isfinite(vals).all():
         raise ParseError(f"{name}: matrix entries must be finite")
-    return vals.view(complex)[..., 0]
+    return vals.view(complex).reshape(len(mats), rows, cols)
 
 
 def poly_to_json(f: LaurentPoly) -> dict:

@@ -17,10 +17,14 @@ rounding, and a sum rounds each coefficient once.  A product (``lp_mul``)
 with a short operand, up to ``_SHIFT_SUM_MAX_WIDTH`` blocks wide
 (constants, unit shifts, low-degree factors), sums shifted block products
 and rounds like the matrix products it makes.  A product of two wider
-series goes through one batched FFT and carries round-off of about
-eps |f| |g| times the width in every degree its operands' supports reach.
-A degree that no pair of support degrees sums to is exactly zero either
-way, so supports, gaps and end trimming do not depend on the route.
+series goes through ``CircleGrid``, the package's one FFT product path:
+the operands' values at the L-th roots of unity are multiplied pointwise
+and read back with one inverse FFT, with round-off of about eps |f| |g|
+times the width in every degree its operands' supports reach.  A degree
+that no pair of support degrees sums to is exactly zero either way, so
+supports, gaps and end trimming do not depend on the route.  Callers that
+need several products of the same operands (the data identities and
+inclusions) keep the values on one grid and skip ``lp_mul``.
 
 Coefficients go in and come out as such runs of consecutive degrees:
 ``LaurentPoly.from_run(lo, run)`` takes a ``(count, rows, cols)`` array
@@ -324,6 +328,56 @@ def _fft_len(n: int) -> int:
     return min(odd << (-(-n // odd) - 1).bit_length() for odd in (1, 3, 5, 9, 15))
 
 
+class CircleGrid:
+    """The L points z_k = exp(-2 pi i k / L) of the unit circle, L >= n.
+
+    L is the smallest fast FFT length >= n (``_fft_len``).  ``values(run)``
+    evaluates the polynomial sum_j run[j] z^j at every point, one FFT along
+    the degree axis.  The values of a product series are the pointwise
+    products of its factors' values (a factor's conjugate transpose gives
+    the values of its adjoint), and ``coeffs`` reads a degree range of the
+    product back with one inverse FFT.  A product whose support spans at
+    most L consecutive degrees comes back with round-off of about
+    eps |f| |g| times the width in every degree its factors' supports
+    reach, and exactly zero in every other degree.
+    """
+
+    __slots__ = ("size",)
+
+    def __init__(self, n: int):
+        self.size = _fft_len(n)
+
+    def values(self, run) -> np.ndarray:
+        """(L, rows, cols) values of sum_j run[j] z^j at the L points."""
+        return np.fft.fft(run, self.size, axis=0)
+
+    def coeffs(self, values, lo: int, count: int, f_support, g_support) -> np.ndarray:
+        """Coefficients of degrees lo .. lo + count - 1 (count <= L) of f g.
+
+        ``values`` are the pointwise products of the values of f and g; each
+        support is a factor's (lowest degree, non-zero-block mask from there
+        up).  A degree that no pair of support degrees sums to is set exactly
+        to zero, and so is every degree outside the product's support.
+        """
+        size = self.size
+        full = np.fft.ifft(values, axis=0)
+        start = lo % size
+        if start + count <= size:
+            out = full[start : start + count]
+        else:
+            out = np.concatenate((full[start:], full[: start + count - size]))
+        (f_lo, f_mask), (g_lo, g_mask) = f_support, g_support
+        reach = np.convolve(f_mask, g_mask) != 0  # degrees f_lo + g_lo, ...
+        skip = lo - f_lo - g_lo
+        keep = np.zeros(count, dtype=bool)
+        first, stop = max(skip, 0), min(skip + count, len(reach))
+        if first < stop:
+            keep[first - skip : stop - skip] = reach[first:stop]
+        if not keep.all():
+            out[~keep] = 0
+        return out
+
+
 def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Product of two series (Cauchy convolution of coefficients).
 
@@ -331,11 +385,10 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     the shorter operand is at most ``_SHIFT_SUM_MAX_WIDTH`` blocks wide, a
     loop over its degrees multiplies each of its coefficients into every
     coefficient of the other at once.  Otherwise both coefficient runs are
-    transformed along the degree axis, zero-padded to a length of at least
-    len(f) + len(g) - 1 so that nothing wraps around, multiplied by one
-    batched matmul and transformed back; every degree that the supports of
-    f and g cannot reach (the convolution of their non-zero-block masks) is
-    then set exactly to zero.
+    evaluated on a ``CircleGrid`` of at least len(f) + len(g) - 1 points,
+    so that nothing wraps around, multiplied by one batched matmul and read
+    back; every degree that the supports of f and g cannot reach is exactly
+    zero.
     """
     if f.cols != g.rows:
         raise ShapeError(f"cannot multiply {f.shape} by {g.shape} series")
@@ -344,10 +397,9 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     A, B = f._arr, g._arr
     n = len(A) + len(B) - 1
     if min(len(A), len(B)) > _SHIFT_SUM_MAX_WIDTH:
-        size = _fft_len(n)
-        spec = np.matmul(np.fft.fft(A, size, axis=0), np.fft.fft(B, size, axis=0))
-        out = np.fft.ifft(spec, axis=0)[:n]
-        out[np.convolve(A.any(axis=(1, 2)), B.any(axis=(1, 2))) == 0] = 0
+        grid = CircleGrid(n)
+        supports = ((0, A.any(axis=(1, 2))), (0, B.any(axis=(1, 2))))
+        out = grid.coeffs(grid.values(A) @ grid.values(B), 0, n, *supports)
         return LaurentPoly._make(f.rows, g.cols, f._lo + g._lo, out)
     out = np.zeros((n, f.rows, g.cols), dtype=complex)
     if len(A) <= len(B):

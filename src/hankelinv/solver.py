@@ -26,15 +26,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import DataIdentityError, FactorizationUnavailableError, InjectivityError
-from .inversion import (
-    DEFAULT_TOL,
-    IDENTITY_NAMES,
-    DataSet,
-    b_side,
-    build_m,
-    c_side,
-    identity_residual_triple,
-)
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, build_m
 from .series import LaurentPoly, poly_gap
 from .structured import tri_toeplitz_solve  # noqa: F401  benchmark/tracer.py patches it by this name
 
@@ -64,7 +56,7 @@ class SolveReport:
 
 def _identity_gate(data: DataSet, tol: float, flags: list):
     """Refuse on gross identity violations, flag moderate ones."""
-    res = identity_residual_triple(data)
+    res = data.identity_residuals
     worst_val = max(res)
     worst_name = IDENTITY_NAMES[res.index(worst_val)]
     if worst_val > REFUSAL_FACTOR * tol:
@@ -104,8 +96,8 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     data.corner_inverses()
     flags = []
     id_res = _identity_gate(data, tol, flags)
-    g = b_side(data)
-    details = {"two_sided_gap": poly_gap(g, c_side(data)), "degree_bound": data.m}
+    g = data.g_b
+    details = {"two_sided_gap": poly_gap(g, data.g_c), "degree_bound": data.m}
     return _report(data, g, "polynomial", id_res, tol, flags, details)
 
 
@@ -238,9 +230,9 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
 
     g1 = g2 = None
     if verdict_a == "pass":
-        g1 = c_side(data)
+        g1 = data.g_c
     if verdict_d == "pass":
-        g2 = b_side(data)
+        g2 = data.g_b
 
     if g1 is None and g2 is None:
         raise FactorizationUnavailableError(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import LaurentPoly, cli, io_json, structured
+from hankelinv import LaurentPoly, cli, io_json, series, structured
 
 from support import trivial_data
 
@@ -271,6 +271,56 @@ def test_invert_builds_each_window_once(monkeypatch, tmp_path):
     assert len(calls) == 4
 
 
+def _count_calls(monkeypatch, original, calls):
+    """Record the arguments of every call of ``original`` made through any
+    hankelinv module that holds it."""
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hankelinv"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+
+
+def _random_problem(tmp_path):
+    fx = hv.random_fixture(p=2, q=1, m=6, target_norm=0.7, rng_seed=3)
+    path = tmp_path / "random.json"
+    io_json.write_json(path, io_json.problem_to_json(fx.data))
+    return str(path), fx.data
+
+
+def test_solve_all_computes_shared_quantities_once(monkeypatch, tmp_path):
+    # the three routes share one data set: one identity triple, one pair of
+    # corner inverses (two np.linalg.inv calls) and one solve per side
+    path, _ = _random_problem(tmp_path)
+    triples, solves, inverses = [], [], []
+    _count_calls(monkeypatch, hv.identity_residual_triple, triples)
+    _count_calls(monkeypatch, hv.tri_toeplitz_solve, solves)
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a) or inv(a))
+    assert cli.main(["solve", path, "--method", "all"]) == 0
+    assert (len(triples), len(inverses), len(solves)) == (1, 2, 2)
+
+
+def test_poly_solve_evaluates_the_rows_once(monkeypatch, tmp_path):
+    # the identity gate and the inclusions share the rows' values on one
+    # grid: one transform of X = [A; z^m C], one of g, and no series product
+    path, data = _random_problem(tmp_path)
+    transforms, products = [], []
+    values = series.CircleGrid.values
+    monkeypatch.setattr(series.CircleGrid, "values",
+                        lambda grid, run: transforms.append(run.shape) or values(grid, run))
+    _count_calls(monkeypatch, series.lp_mul, products)
+    assert cli.main(["solve", path, "--method", "poly"]) == 0
+    p, q, m = data.p, data.q, data.m
+    assert transforms == [(m + 1, p + q, p + q), (m + 1, p, q)]
+    assert products == []
+
+
 def test_exit_code_is_function_of_report():
     from hankelinv.diagnostics import CheckEntry, CheckReport
 
@@ -367,6 +417,15 @@ def test_problem_file_schema_validation(tmp_path, problem_file):
     for entry in ([10**400, 0], [0.5, 0, 7], ["0.5", 0], [True, 0]):
         cases.append({"p": 1, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": [[entry]]}],
                       "beta": [], "gamma": [], "delta": []})
+    # malformed matrices: a pair of one number, a pair nested one level
+    # deeper, NaN and Infinity tokens (json.load reads them as floats), a
+    # matrix that is a number or an object, and a 2x2 row one pair short
+    for mat in ([[[0.5]]], [[[[0.5], [0]]]], [[[float("nan"), 0]]], [[[0, float("inf")]]],
+                0.5, {"re": 0.5}):
+        cases.append({"p": 1, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": mat}],
+                      "beta": [], "gamma": [], "delta": []})
+    cases.append({"p": 2, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": [[[1, 0], [0, 0]], [[1, 0]]]}],
+                  "beta": [], "gamma": [], "delta": []})
     # integer fields given as a boolean, a numeric string or a float, each in
     # an otherwise solvable file (the trivial data set)
     unit = [{"deg": 0, "mat": [[[1, 0]]]}]

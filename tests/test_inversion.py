@@ -43,6 +43,20 @@ def test_dataset_corner_override_checked(deg1_fixture):
             DataSet(**symbols, d0=bad)
 
 
+def test_dataset_keeps_read_only_copies(deg1_fixture):
+    # quantities are cached on the data set, so nothing they read may change:
+    # an override is copied, and the corners and their inverses are read-only
+    d = deg1_fixture.data
+    given = np.array(d.a0)
+    data = DataSet(alpha=d.alpha, beta=d.beta, gamma=d.gamma, delta=d.delta, a0=given)
+    before = data.identity_residuals
+    given += 1.0
+    assert np.array_equal(data.a0, d.a0)
+    assert hv.identity_residual_triple(data) == before
+    for mat in (data.a0, data.d0, *data.corner_inverses()):
+        assert not mat.flags.writeable
+
+
 def test_dataset_singular_corner():
     data = DataSet(
         alpha=LaurentPoly.constant([[0.0]]),
