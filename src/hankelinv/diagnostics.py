@@ -276,7 +276,7 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
 
     if g is None and not CheckReport(entries).any_fail:
         try:
-            g = data.g_b
+            g = data.b_side
         except ValueError:
             g = None
     if g is not None:

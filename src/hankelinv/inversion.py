@@ -24,7 +24,7 @@ inclusion) is one pointwise product and one inverse FFT.
 
 For polynomial data g is fixed by either of the two inclusions that are
 linear in it, and each is one lower triangular block Toeplitz solve:
-``b_side`` solves (g delta + beta)_+ = 0 and ``c_side``
+``DataSet.b_side`` solves (g delta + beta)_+ = 0 and ``DataSet.c_side``
 (g* alpha + gamma)_- = 0.
 
 A data set is immutable (its series are, and a0 and d0 are read-only
@@ -97,7 +97,7 @@ class DataSet:
     def q(self) -> int:
         return self.delta.rows
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Largest degree appearing in any of the four symbols."""
         plus = [sym.hi for sym in (self.alpha, self.beta) if not sym.is_zero]
@@ -158,15 +158,33 @@ class DataSet:
         """``identity_residual_triple`` of this data set, computed once."""
         return identity_residual_triple(self)
 
-    @cached_property
-    def g_b(self) -> LaurentPoly:
-        """g from the b-side inclusion, ``b_side`` solved once."""
-        return b_side(self)
+    # -- the two inclusion sides, each one lower triangular solve
 
     @cached_property
-    def g_c(self) -> LaurentPoly:
-        """g from the c-side inclusion, ``c_side`` solved once."""
-        return c_side(self)
+    def c_side(self) -> LaurentPoly:
+        """g from (g* alpha + gamma)_- = 0, upper triangular in g.
+
+        Read bottom to top, the upper system with first block row alpha_j* is
+        the lower one with the same blocks as its first column, driven by
+        gamma's degrees -m, ..., 0; its solution comes out highest degree first.
+        """
+        m = self.m
+        acols = self.alpha.coeff_run(0, m + 1).conj().transpose(0, 2, 1)
+        rhs = -self.gamma.coeff_run(-m, m + 1).conj().transpose(0, 2, 1)
+        return LaurentPoly.from_run(0, tri_toeplitz_solve(acols, rhs)[::-1])
+
+    @cached_property
+    def b_side(self) -> LaurentPoly:
+        """g from (g delta + beta)_+ = 0, upper triangular in g.
+
+        Transposed and read bottom to top, it is the lower system with first
+        block column delta_0^T, ..., delta_{-m}^T, driven by beta's degrees m,
+        ..., 0; its solution comes out highest degree first.
+        """
+        m = self.m
+        dcols = self.delta.coeff_run(-m, m + 1)[::-1].transpose(0, 2, 1)
+        rhs = -self.beta.coeff_run(0, m + 1)[::-1].transpose(0, 2, 1)
+        return LaurentPoly.from_run(0, tri_toeplitz_solve(dcols, rhs)[::-1].transpose(0, 2, 1))
 
 
 # -- operator assembly ------------------------------------------------------
@@ -382,40 +400,5 @@ def identity_residual_triple(data: DataSet):
     res = grid.coeffs(x.conj().transpose(0, 2, 1) @ jx, -m, 2 * m + 1, (-m, mask[::-1]), (0, mask))
     res[m, :p, :p] -= data.a0
     res[m, p:, p:] += data.d0
-    return _block_maxima(res, p)
-
-
-def _block_maxima(res, p):
-    """Largest absolute entries of the top-left, bottom-right and top-right
-    blocks (split at p) over a run of square coefficients."""
     peak = np.abs(res).max(axis=0)
     return float(peak[:p, :p].max()), float(peak[p:, p:].max()), float(peak[:p, p:].max())
-
-
-# -- the two inclusion sides ------------------------------------------------
-
-
-def c_side(data: DataSet) -> LaurentPoly:
-    """g from (g* alpha + gamma)_- = 0, upper triangular in g.
-
-    Read bottom to top, the upper system with first block row alpha_j* is
-    the lower one with the same blocks as its first column, driven by
-    gamma's degrees -m, ..., 0; its solution comes out highest degree first.
-    """
-    m = data.m
-    acols = data.alpha.coeff_run(0, m + 1).conj().transpose(0, 2, 1)
-    rhs = -data.gamma.coeff_run(-m, m + 1).conj().transpose(0, 2, 1)
-    return LaurentPoly.from_run(0, tri_toeplitz_solve(acols, rhs)[::-1])
-
-
-def b_side(data: DataSet) -> LaurentPoly:
-    """g from (g delta + beta)_+ = 0, upper triangular in g.
-
-    Transposed and read bottom to top, it is the lower system with first
-    block column delta_0^T, ..., delta_{-m}^T, driven by beta's degrees m,
-    ..., 0; its solution comes out highest degree first.
-    """
-    m = data.m
-    dcols = data.delta.coeff_run(-m, m + 1)[::-1].transpose(0, 2, 1)
-    rhs = -data.beta.coeff_run(0, m + 1)[::-1].transpose(0, 2, 1)
-    return LaurentPoly.from_run(0, tri_toeplitz_solve(dcols, rhs)[::-1].transpose(0, 2, 1))

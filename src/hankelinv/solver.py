@@ -96,8 +96,8 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     data.corner_inverses()
     flags = []
     id_res = _identity_gate(data, tol, flags)
-    g = data.g_b
-    details = {"two_sided_gap": poly_gap(g, data.g_c), "degree_bound": data.m}
+    g = data.b_side
+    details = {"two_sided_gap": poly_gap(g, data.c_side), "degree_bound": data.m}
     return _report(data, g, "polynomial", id_res, tol, flags, details)
 
 
@@ -230,9 +230,9 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
 
     g1 = g2 = None
     if verdict_a == "pass":
-        g1 = data.g_c
+        g1 = data.c_side
     if verdict_d == "pass":
-        g2 = data.g_b
+        g2 = data.b_side
 
     if g1 is None and g2 is None:
         raise FactorizationUnavailableError(

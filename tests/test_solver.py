@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import DataSet, LaurentPoly, inversion, solver
+from hankelinv import DataSet, LaurentPoly, solver
 from hankelinv.errors import (
     DataIdentityError,
     FactorizationUnavailableError,
@@ -202,7 +202,7 @@ def test_b_side_vs_dense_upper_system(rng, p, q, m):
     beta = rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))
     data = DataSet(alpha=LaurentPoly.identity(p), beta=LaurentPoly.from_run(0, beta),
                    gamma=LaurentPoly.zero(q, p), delta=LaurentPoly.from_run(-m, dblocks[::-1]))
-    g = inversion.b_side(data)
+    g = data.b_side
     rhs = -beta.transpose(1, 0, 2).reshape(p, (m + 1) * q)
     want = np.linalg.solve(dense.T, rhs.T).T.reshape(p, m + 1, q).transpose(1, 0, 2)
     assert np.max(np.abs(g.coeff_run(0, m + 1) - want)) <= 1e-12 * np.max(np.abs(want))
