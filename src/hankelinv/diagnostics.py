@@ -8,7 +8,9 @@ circle-adjacent zeros and checks whose precondition failed.
 Both identity triples are block products of the rows A = [alpha beta] and
 C = [gamma delta] of X (``DataSet.x_run``): X* J X = diag(a0, -d0) and
 X D X* = J, with J = diag(I, -I) and D = diag(a0^-1, -d0^-1).  An analytic
-g is verified on (A + g C - [I 0])_+ = 0 and (g* A + C - [0 I])_- = 0.
+g is verified on (A + g C - [I 0])_+ = 0 and (g* A + C - [0 I])_- = 0:
+``inclusion_residuals`` computes their four column-block sup norms, which
+the solvers report as they are, and ``verify_solution`` judges them.
 Each family is a pointwise product of the values of X on the data set's
 grid (``DataSet.spectrum``, computed once per data set) read back with one
 inverse FFT, so its residuals carry round-off of about eps |f| |g| times
@@ -292,12 +294,15 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
 # -- solution verification ---------------------------------------------------
 
 
-def verify_solution(data: DataSet, g: LaurentPoly, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Residuals of the four membership inclusions defining a solution.
+INCLUSION_NAMES = ("alpha_g_gamma", "gstar_alpha_gamma", "delta_gstar_beta", "g_delta_beta")
 
-    Each entry is the sup norm of one column block of the two row
-    inclusions; all four vanish exactly when the analytic g solves the
-    inverse problem for the data.
+
+def inclusion_residuals(data: DataSet, g: LaurentPoly):
+    """The four inclusion residuals of g, in the order of ``INCLUSION_NAMES``.
+
+    Each is the sup norm of one column block of the two row inclusions;
+    all four vanish exactly when the analytic g solves the inverse problem
+    for the data.
     """
     if g.shape != (data.p, data.q):
         raise ShapeError(f"g must be {(data.p, data.q)}, got {g.shape}")
@@ -323,15 +328,11 @@ def verify_solution(data: DataSet, g: LaurentPoly, tol: float = DEFAULT_TOL) -> 
     minus[n - m - 1 :] += c
     minus[-1, :, p:] -= np.eye(q)
     plus, minus = np.abs(plus).max(axis=0), np.abs(minus).max(axis=0)
-    res = {
-        "alpha_g_gamma": plus[:, :p],
-        "gstar_alpha_gamma": minus[:, :p],
-        "delta_gstar_beta": minus[:, p:],
-        "g_delta_beta": plus[:, p:],
-    }
-    return CheckReport([_residual_entry(k, v.max(), tol) for k, v in res.items()])
+    blocks = (plus[:, :p], minus[:, :p], minus[:, p:], plus[:, p:])
+    return tuple(float(b.max()) for b in blocks)
 
 
-def inclusion_residuals(data: DataSet, g: LaurentPoly):
-    """The four inclusion residuals as a tuple (order as in verify_solution)."""
-    return tuple(verify_solution(data, g).values().values())
+def verify_solution(data: DataSet, g: LaurentPoly, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The four inclusion residuals of g, each judged against ``tol``."""
+    res = inclusion_residuals(data, g)
+    return CheckReport([_residual_entry(k, v, tol) for k, v in zip(INCLUSION_NAMES, res)])

@@ -29,8 +29,8 @@ linear in it, and each is one lower triangular block Toeplitz solve:
 
 A data set is immutable (its series are, and a0 and d0 are read-only
 copies), so everything derived from it alone is computed on first use and
-kept on the instance: the rows and their values on the grid, the corner
-inverses, the identity triple and the two sides.
+kept on the instance: the run ``x_run`` of both rows and its values on
+the grid, the corner inverses, the identity triple and the two sides.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ class DataSet:
     alpha (p x p) and beta (p x q) are supported on degrees >= 0, gamma
     (q x p) and delta (q x q) on degrees <= 0.  a0 and d0 default to the
     zero-degree coefficients of alpha and delta; they may be overridden to
-    probe perturbed identity right-hand sides.
+    probe perturbed identity right-hand sides.  The rows A = [alpha beta]
+    and C = [gamma delta] are kept as one coefficient run, ``x_run``.
     """
 
     alpha: LaurentPoly
@@ -138,11 +139,6 @@ class DataSet:
         x[:, p:, p:] = self.delta.coeff_run(1 - n, n)
         x.flags.writeable = False
         return x
-
-    def rows(self):
-        """The block rows A = [alpha beta] and C = [gamma delta] as series."""
-        x, p = self.x_run, self.p
-        return LaurentPoly.from_run(0, x[:, :p]), LaurentPoly.from_run(-self.m, x[:, p:])
 
     @cached_property
     def spectrum(self):
@@ -327,7 +323,8 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
     thht_shifted = res(xs @ shift.conj().T @ jy, [("plus", s)], [("minus", s)])
 
     # Unit-column identities: M maps the unit columns to the windows of the rows.
-    a, c = data.rows()
+    xr = data.x_run
+    a, c = LaurentPoly.from_run(0, xr[:, :p]), LaurentPoly.from_run(-data.m, xr[:, p:])
     wins = np.vstack([a.coeff_run(0, N).reshape(n, -1), c.coeff_run(1 - N, N).reshape(N * q, -1)])
     units = np.hstack([mm[:, :p], mm[:, -q:]]) - wins
     units = {

@@ -15,7 +15,9 @@
   because every factor of M11 and M22 is a triangular block Toeplitz
   matrix that commutes with the window projection.
 
-Every route passes the same identity gate first.
+Every route passes one gate first, ``_identity_gate``: it refuses a
+singular corner a0 or d0 before it judges the identity triple.  Every
+report carries the four inclusion residuals of its g.
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ class SolveReport:
 # -- shared gates -------------------------------------------------------------
 
 
-def _identity_gate(data: DataSet, tol: float, flags: list):
-    """Refuse on gross identity violations, flag moderate ones."""
+def _identity_gate(data: DataSet, tol: float):
+    """(residuals, flags): refuse a singular corner, then gross identity
+    violations; flag moderate ones."""
+    data.corner_inverses()
     res = data.identity_residuals
     worst_val = max(res)
     worst_name = IDENTITY_NAMES[res.index(worst_val)]
@@ -66,9 +70,10 @@ def _identity_gate(data: DataSet, tol: float, flags: list):
             residuals=res,
             worst=worst_name,
         )
+    flags = []
     if worst_val > tol:
         flags.append(f"identity residual {worst_name} = {worst_val:.3e} above tol")
-    return res
+    return res, flags
 
 
 def _report(data, g, method, id_res, tol, flags, details):
@@ -93,9 +98,7 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     Both triangular routes are computed and their gap is recorded; the
     b-side result is returned.
     """
-    data.corner_inverses()
-    flags = []
-    id_res = _identity_gate(data, tol, flags)
+    id_res, flags = _identity_gate(data, tol)
     g = data.b_side
     details = {"two_sided_gap": poly_gap(g, data.c_side), "degree_bound": data.m}
     return _report(data, g, "polynomial", id_res, tol, flags, details)
@@ -151,9 +154,7 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     rounding, and M22 likewise.  The report also carries the gap between the two columns
     and the Hankel-structure defect of -M11^-1 M12.
     """
-    data.corner_inverses()
-    flags = []
-    id_res = _identity_gate(data, tol, flags)
+    id_res, flags = _identity_gate(data, tol)
     m = data.m
     N = data.extent() if n_blocks is None else int(n_blocks)
     p, q = data.p, data.q
@@ -172,16 +173,15 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
                 which=name,
             )
 
-    # one M11 solve for the beta column, a window of the row A, and M12 side by side
-    a, c = data.rows()
-    sol = np.linalg.solve(m11, np.hstack([a.coeff_run(0, N)[:, :, p:].reshape(n, q), m12]))
+    # one M11 solve for the beta window and M12 side by side
+    sol = np.linalg.solve(m11, np.hstack([data.beta.coeff_run(0, N).reshape(n, q), m12]))
     x, hmat = sol[:, :q], -sol[:, q:]
     g_run = -x.reshape(N, p, q)
     tail = float(np.abs(g_run[m + 1 :]).max(initial=0.0))
     g = LaurentPoly.from_run(0, g_run)
 
     # y block w is the adjoint of the coefficient of degree N - 1 - w
-    y = np.linalg.solve(m22, c.coeff_run(1 - N, N)[:, :, :p].reshape(N * q, p))
+    y = np.linalg.solve(m22, data.gamma.coeff_run(1 - N, N).reshape(N * q, p))
     g2 = LaurentPoly.from_run(0, (-y.reshape(N, q, p)[::-1]).conj().transpose(0, 2, 1))
 
     hrun, hdefect = _hankel_window_stats(hmat, p, q, N)
@@ -221,9 +221,7 @@ def solve_factorization(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
     (g delta + beta)_+ = 0.  Each is one lower triangular solve.  When both
     paths clear their determinant gate their gap is reported.
     """
-    data.corner_inverses()
-    flags = []
-    id_res = _identity_gate(data, tol, flags)
+    id_res, flags = _identity_gate(data, tol)
     zeros = diagnostics.check_zero_locations(data)
     verdict_a = zeros.entry("alpha_det_zeros").verdict
     verdict_d = zeros.entry("delta_det_zeros").verdict

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import LaurentPoly, cli, io_json, series, structured
+from hankelinv import LaurentPoly, cli, diagnostics, io_json, series, structured
 
 from support import trivial_data
 
@@ -118,6 +118,22 @@ def test_solve_perturbed_refuses(problem_file, tmp_path, capsys):
     assert cli.main(["solve", str(path)]) == 4
     err = capsys.readouterr().err
     assert "identity_cross" in err
+
+
+@pytest.mark.parametrize("method", ["poly", "truncated", "factorization", "all"])
+def test_singular_corner_refused_by_every_route(tmp_path, capsys, method):
+    # alpha = 0 and delta = 1 satisfy the data identities exactly, but the
+    # corner a0 = 0 is singular: the shared gate refuses before any solve
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps({
+        "p": 1, "q": 1, "m": 0,
+        "alpha": [{"deg": 0, "mat": [[[0.0, 0.0]]]}], "beta": [],
+        "gamma": [], "delta": [{"deg": 0, "mat": [[[1.0, 0.0]]]}],
+    }))
+    assert cli.main(["solve", str(path), "--method", method]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["refused"] is True
+    assert doc["reason"].startswith("corner matrix a0 is numerically singular")
 
 
 def test_solve_missing_file(tmp_path):
@@ -308,17 +324,20 @@ def test_solve_all_computes_shared_quantities_once(monkeypatch, tmp_path):
 
 def test_poly_solve_evaluates_the_rows_once(monkeypatch, tmp_path):
     # the identity gate and the inclusions share the rows' values on one
-    # grid: one transform of X = [A; z^m C], one of g, and no series product
+    # grid: one transform of X = [A; z^m C], one of g, and no series product;
+    # the route's ledger is the residual tuple, with no CheckReport behind it
     path, data = _random_problem(tmp_path)
-    transforms, products = [], []
+    transforms, products, verifies = [], [], []
     values = series.CircleGrid.values
     monkeypatch.setattr(series.CircleGrid, "values",
                         lambda grid, run: transforms.append(run.shape) or values(grid, run))
     _count_calls(monkeypatch, series.lp_mul, products)
+    _count_calls(monkeypatch, diagnostics.verify_solution, verifies)
     assert cli.main(["solve", path, "--method", "poly"]) == 0
     p, q, m = data.p, data.q, data.m
     assert transforms == [(m + 1, p + q, p + q), (m + 1, p, q)]
     assert products == []
+    assert verifies == []
 
 
 def test_exit_code_is_function_of_report():
