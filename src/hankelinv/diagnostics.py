@@ -20,11 +20,15 @@ The zero-location check finds no zero.  It asks only whether every zero
 of a determinant lies outside a circle of radius r, and answers by the
 Schur-Cohn recursion on the coefficients: a polynomial a of degree n has
 every zero outside the closed unit disk exactly when |a_n| < |a_0| and
-the reduced polynomial conj(a_0) a - a_n a~ of degree n - 1, with a~ the
-reversed conjugate of a, has too; a step with |a_n| > |a_0| shows a zero
-inside the open disk.  Rescaling a_j -> a_j r**j moves the circle to
-radius r.  det(delta) is read in mu = 1/z, which maps its zeros inside
-the disk to zeros of mu outside it.
+the reduced polynomial a - (a_n / conj(a_0)) a~ of degree n - 1, with a~
+the reversed conjugate of a, has too; a step with |a_n| > |a_0| shows a
+zero inside the open disk.  Rescaling a_j -> a_j r**j moves the circle to
+radius r.  The coefficients are scaled to largest modulus 1 first and
+every 8 steps, and each step runs in place on one buffer.  Each
+determinant is taken of its symbol times the power of two that puts the
+largest entry in [0.5, 1), so it cannot overflow, and is deflated
+against DEFLATION_TOL in the units of the data.  det(delta) is read in
+mu = 1/z, which maps its zeros inside the disk to zeros of mu outside it.
 """
 
 from __future__ import annotations
@@ -133,48 +137,53 @@ def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
 # -- zero locations ----------------------------------------------------------
 
 
-def _deflated(coeffs):
-    """Coefficients of sum_j coeffs[j] z**j with negligible leading ones dropped."""
-    c = np.asarray(coeffs, dtype=complex)
-    while c.size and abs(c[-1]) < DEFLATION_TOL:
-        c = c[:-1]
-    if c.size == 0:
-        raise DegenerateError("determinant is identically zero")
-    return c
-
-
 def _reflection_margin(c, r):
     """Smallest 1 - |k| over the Schur-Cohn recursion on a_j = c_j r**j.
 
-    Each step takes the reflection coefficient k = a_n / a_0 and, while
-    |k| < 1, the reduced polynomial conj(a_0) a - a_n a~ of degree n - 1,
-    a~_j = conj(a_{n-j}).  The recursion stops at the first |k| >= 1.  A
-    step's margin is (|a_0| - |a_n|) / max(|a_0|, |a_n|): 1 - |k| when
-    |k| <= 1, and in [-1, 0) beyond, so a zero at the origin stays finite.
+    a is first scaled to largest modulus 1.  Each step takes k = a_n / a_0
+    and, while |k| < 1, the reduced polynomial a - (a_n / conj(a_0)) a~ of
+    degree n - 1, a~_j = conj(a_{n-j}), in place: three passes over one
+    buffer.  The recursion stops at the first |k| >= 1.  A step's margin
+    is (|a_0| - |a_n|) / max(|a_0|, |a_n|): 1 - |k| when |k| <= 1, and in
+    [-1, 0) beyond, so a zero at the origin stays finite.  a is rescaled
+    to largest modulus 1 every 8 steps: a step at most doubles the largest
+    coefficient (|k| < 1), and shrinks it by no less than 2**-53 / sqrt(n+1),
+    as |a - k a~| >= (1 - |k|) |a| on the circle and a float margin above 0
+    is at least about 2**-53, so 8 steps stay far inside the double range.
     """
     a = c * r ** np.arange(c.size)
+    a /= np.abs(a).max()
+    tmp = np.empty_like(a)
     margin = 1.0
-    while a.size > 1:
-        # tail > 0 at the first step (deflated), head > 0 after it
-        head, tail = float(abs(a[0])), float(abs(a[-1]))
-        margin = min(margin, (head - tail) / max(head, tail))
+    for n in range(a.size - 1, 0, -1):
+        # a_n != 0 at the first step (deflated), a_0 != 0 after it
+        head, tail = a.item(0), a.item(n)
+        margin = min(margin, (abs(head) - abs(tail)) / max(abs(head), abs(tail)))
         if margin <= 0.0:
             break
-        a = (np.conj(a[0]) * a - a[-1] * np.conj(a[::-1]))[:-1]
-        a = a / np.max(np.abs(a))
+        step = np.conjugate(a[n:0:-1], out=tmp[:n])
+        step *= tail / head.conjugate()
+        a[:n] -= step
+        if n % 8 == 0:
+            a[:n] /= np.abs(a[:n]).max()
     return margin
 
 
-def _zeros_outside_entry(name, coeffs, band):
+def _zeros_outside_entry(name, coeffs, band, tol):
     """Verdict on the zeros of sum_j coeffs[j] z**j lying outside |z| = 1.
 
-    ``pass`` when the recursion at radius 1 + band keeps every |k| < 1, so
-    every zero has |z| > 1 + band; ``fail`` when at radius 1 - band it
-    meets a |k| > 1, so some zero has |z| < 1 - band; ``inconclusive``
-    otherwise.  The value is minus the margin at radius 1 + band and the
-    threshold is 0.
+    Leading coefficients below ``tol`` are dropped first (zeros at
+    infinity).  ``pass`` when the recursion at radius 1 + band keeps every
+    |k| < 1, so every zero has |z| > 1 + band; ``fail`` when at radius
+    1 - band it meets a |k| > 1, so some zero has |z| < 1 - band;
+    ``inconclusive`` otherwise.  The value is minus the margin at radius
+    1 + band and the threshold is 0.
     """
-    c = _deflated(coeffs)
+    c = np.asarray(coeffs, dtype=complex)
+    while c.size and abs(c[-1]) < tol:
+        c = c[:-1]
+    if c.size == 0:
+        raise DegenerateError("determinant is identically zero")
     margin = _reflection_margin(c, 1.0 + band)
     if margin > 0.0:
         return CheckEntry(name, -margin, 0.0, "pass")
@@ -205,25 +214,21 @@ def check_zero_locations(data: DataSet, band: float = CIRCLE_BAND) -> CheckRepor
     |z| < 1, and so has a (Schur-Cohn; Lancaster and Tismenetsky, The
     Theory of Matrices, 2nd ed., 1985).  The zeros of a_j = c_j r**j are
     those of c divided by r, so the recursion at radius r tests |z| > r
-    for the zeros of c.  Leading coefficients below ``DEFLATION_TOL`` are
-    dropped first (zeros at infinity).
+    for the zeros of c.  Leading coefficients below ``DEFLATION_TOL``, in
+    the units of the data, are dropped first (zeros at infinity).
     """
-    det_a = data.alpha.det()
-    if det_a.is_zero:
-        raise DegenerateError("det(alpha) is identically zero")
-    det_d = data.delta.det()
-    if det_d.is_zero:
-        raise DegenerateError("det(delta) is identically zero")
-    return CheckReport(
-        [
-            _zeros_outside_entry(
-                "alpha_det_zeros", det_a.coeff_run(0, det_a.hi + 1)[:, 0, 0], band
-            ),
-            _zeros_outside_entry(
-                "delta_det_zeros", det_d.coeff_run(det_d.lo, 1 - det_d.lo)[::-1, 0, 0], band
-            ),
-        ]
-    )
+    runs = []
+    for side, sym, n in (("alpha", data.alpha, data.p), ("delta", data.delta, data.q)):
+        # sym 2**e has its largest entry in [0.5, 1): a finite det, same zeros.
+        # The caps keep 2**e and the tolerance finite; past them the whole
+        # det lies far below DEFLATION_TOL in the units of the data
+        e = min(-int(np.frexp(sym.sup_norm())[1]), 1000)
+        det = (sym * 2.0**e).det()
+        if det.is_zero:
+            raise DegenerateError(f"det({side}) is identically zero")
+        c = det.coeff_run(0, det.hi + 1) if side == "alpha" else det.coeff_run(det.lo, 1 - det.lo)[::-1]
+        runs.append((f"{side}_det_zeros", c[:, 0, 0], DEFLATION_TOL * 2.0 ** min(e * n, 1000)))
+    return CheckReport([_zeros_outside_entry(name, c, band, tol) for name, c, tol in runs])
 
 
 # -- contraction -------------------------------------------------------------

@@ -8,7 +8,9 @@ margin sub-windows (against ``structured.build``), the corner
 extraction and congruence structure of the window of Omega, and the
 data identities and inclusions written out symbol by symbol (against
 their block-row forms in the package), and M assembled from eight symbol
-windows (against ``build_m``'s four windows of the two shifted rows).
+windows (against ``build_m``'s four windows of the two shifted rows), and
+the Schur-Cohn recursion written one allocating step at a time (against
+the in-place recursion of the zero gate).
 """
 
 from __future__ import annotations
@@ -82,6 +84,28 @@ def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:
 
     idx = tuple(range(n))
     return minor(idx, idx)
+
+
+def reflection_margin_reference(c, r):
+    """Smallest 1 - |k| over the Schur-Cohn recursion on a_j = c_j r**j.
+
+    Each step takes the reflection coefficient k = a_n / a_0 and, while
+    |k| < 1, the reduced polynomial conj(a_0) a - a_n a~ of degree n - 1,
+    a~_j = conj(a_{n-j}).  The recursion stops at the first |k| >= 1.  A
+    step's margin is (|a_0| - |a_n|) / max(|a_0|, |a_n|): 1 - |k| when
+    |k| <= 1, and in [-1, 0) beyond, so a zero at the origin stays finite.
+    """
+    a = c * r ** np.arange(c.size)
+    margin = 1.0
+    while a.size > 1:
+        # tail > 0 at the first step (deflated), head > 0 after it
+        head, tail = float(abs(a[0])), float(abs(a[-1]))
+        margin = min(margin, (head - tail) / max(head, tail))
+        if margin <= 0.0:
+            break
+        a = (np.conj(a[0]) * a - a[-1] * np.conj(a[::-1]))[:-1]
+        a = a / np.max(np.abs(a))
+    return margin
 
 
 def corner_solve_data(p, q, m, norm, seed):

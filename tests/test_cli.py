@@ -176,6 +176,23 @@ def test_check_failing_data(tmp_path):
     assert cli.main(["check", str(path)]) == 5
 
 
+def test_check_overflowing_determinant(tmp_path, capsys):
+    # det(alpha) = 1e400 (1 + 0.1 z)^2 overflows a double; a constant factor
+    # moves no zero, so the gate still places both zeros at z = -10
+    data = hv.DataSet(
+        alpha=LaurentPoly.from_run(0, [1e200 * np.eye(2), 1e199 * np.eye(2)]),
+        beta=LaurentPoly.zero(2, 1),
+        gamma=LaurentPoly.zero(1, 2),
+        delta=LaurentPoly.identity(1),
+    )
+    path = tmp_path / "big.json"
+    io_json.write_json(path, io_json.problem_to_json(data))
+    assert cli.main(["check", str(path)]) == 5
+    verdicts = {e["name"]: e["verdict"] for e in json.loads(capsys.readouterr().out)["entries"]}
+    assert verdicts["alpha_det_zeros"] == "pass"
+    assert verdicts["delta_det_zeros"] == "pass"
+
+
 def test_invert_inconclusive_window(g_file):
     # a window too small for the degree leaves no exact margin
     assert cli.main(["invert", g_file, "--order", "2"]) == 6

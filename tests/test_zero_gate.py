@@ -3,7 +3,9 @@
 ``_poly_roots`` and ``_root_entry`` below are the root-based verdicts the
 gate used before: every zero of the determinant from the eigenvalues of
 its companion matrix, then the band test on the smallest modulus.  They
-serve here only as the reference for ``check_zero_locations``.
+serve here only as the reference for ``check_zero_locations``.  The
+in-place recursion ``_reflection_margin`` is also checked against the
+allocating one in ``support.reflection_margin_reference``.
 """
 
 import numpy as np
@@ -11,12 +13,15 @@ import pytest
 
 import hankelinv as hv
 from hankelinv import DataSet, LaurentPoly
-from hankelinv.diagnostics import CIRCLE_BAND, DEFLATION_TOL
+from hankelinv.diagnostics import CIRCLE_BAND, DEFLATION_TOL, _reflection_margin
 from hankelinv.errors import SynthesisError
+
+from support import reflection_margin_reference
 
 SHAPES = [(1, 1, 4), (2, 1, 3), (2, 2, 5), (3, 3, 8), (1, 1, 32)]
 NORMS = [0.5, 0.95, 0.999, 1.05, 1.5, 3.0]
 MODULI = [0.3, 0.7, 0.95, 1.05, 1.5, 3.0]
+RADII = (1.0 - CIRCLE_BAND, 1.0 + CIRCLE_BAND)
 
 
 def _poly_roots(coeffs):
@@ -102,3 +107,58 @@ def test_verdicts_match_root_finder_on_placed_zeros(side):
         assert got == _reference_verdicts(data)[name], (seed, degree, got)
         seen.add(got)
     assert seen == {"pass", "fail"}
+
+
+def _placed(zeros):
+    """Coefficients of prod (1 - z / zeta) over ``zeros``, rescaled to
+    largest modulus 1 after each factor; ``np.poly`` overflows at modulus 3
+    past degree ~600."""
+    c = np.ones(1, dtype=complex)
+    for zeta in zeros:
+        c = np.convolve(c, [1.0, -1.0 / zeta])
+        c /= np.max(np.abs(c))
+    return c
+
+
+def test_signs_match_reference_on_placed_zeros():
+    # Degrees up to 1024; margins are not compared, since near the circle
+    # both recursions lose digits with the degree alike, but the sign each
+    # verdict reads (> 0 at 1 + band, < 0 at 1 - band) must agree.
+    signs = set()
+    for seed in range(30):
+        rng = np.random.default_rng([seed, 1024])
+        degree = int(rng.integers(1, 1025))
+        pool = MODULI[3:] if seed % 2 == 0 else MODULI
+        c = _placed(rng.choice(pool, degree) * np.exp(2j * np.pi * rng.random(degree)))
+        for r in RADII:
+            got, ref = _reflection_margin(c, r), reflection_margin_reference(c, r)
+            assert np.sign(got) == np.sign(ref), (seed, degree, r, got, ref)
+            signs.add(np.sign(got))
+    assert signs == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("norm", [0.9, 0.99])
+def test_margins_match_reference_on_synthesized_data(norm):
+    for seed in range(3):
+        data = hv.random_fixture(3, 3, 32, norm, seed).data
+        det_a, det_d = data.alpha.det(), data.delta.det()
+        for c in (det_a.coeff_run(0, det_a.hi + 1), det_d.coeff_run(det_d.lo, 1 - det_d.lo)[::-1]):
+            for r in RADII:
+                got, ref = _reflection_margin(c[:, 0, 0], r), reflection_margin_reference(c[:, 0, 0], r)
+                assert abs(got - ref) <= 1e-12, (seed, r, got, ref)
+
+
+@pytest.mark.parametrize("side", ["alpha", "delta"])
+def test_verdict_does_not_depend_on_scale(side):
+    # zeros at |z| = 3.3 and 0.45, at 3.3 and 2, and at 3.3 and on the circle
+    cases = {
+        "fail": np.polymul([-2.2, 1.0], [-0.3, 1.0])[::-1] + 0j,
+        "pass": np.polymul([-0.5, 1.0], [-0.3, 1.0])[::-1] + 0j,
+        "inconclusive": np.polymul([-1.0, 1.0], [-0.3, 1.0])[::-1] + 0j,
+    }
+    for verdict, c in cases.items():
+        signs = [np.sign(_reflection_margin(c, r)) for r in RADII]
+        for scale in (1.0, 1e100, 1e160, 1e300):
+            assert [np.sign(_reflection_margin(scale * c, r)) for r in RADII] == signs, scale
+            got = _verdicts(_scalar_data(side, scale * c))[f"{side}_det_zeros"]
+            assert got == verdict, (scale, got)
