@@ -14,17 +14,13 @@ block between them.
 
 Negation, shifts, adjoints and projections move coefficients without
 rounding, and a sum rounds each coefficient once.  A product (``lp_mul``)
-with a short operand, up to ``_SHIFT_SUM_MAX_WIDTH`` blocks wide
-(constants, unit shifts, low-degree factors), sums shifted block products
-and rounds like the matrix products it makes.  A product of two wider
-series goes through ``CircleGrid``, the package's one FFT product path:
-the operands' values at the L-th roots of unity are multiplied pointwise
-and read back with one inverse FFT, with round-off of about eps |f| |g|
-times the width in every degree its operands' supports reach.  A degree
-that no pair of support degrees sums to is exactly zero either way, so
-supports, gaps and end trimming do not depend on the route.  Callers that
-need several products of the same operands (the data identities and
-inclusions) keep the values on one grid and skip ``lp_mul``.
+sums shifted block products over the degrees of its shorter operand and
+rounds like the matrix products it makes: a product with a constant is
+one block product, integer coefficients multiply exactly while every sum
+stays below 2**53, and a degree that no pair of support degrees sums to
+is exactly zero.  Callers that need
+several products of the same operands (the data identities and
+inclusions) keep the values on one ``CircleGrid`` and skip ``lp_mul``.
 
 Coefficients go in and come out as such runs of consecutive degrees:
 ``LaurentPoly.from_run(lo, run)`` takes a ``(count, rows, cols)`` array
@@ -188,10 +184,12 @@ class LaurentPoly:
 
         Returns a ``(count, rows, cols)`` array with zero blocks wherever
         the series has no support; a range inside the stored run comes back
-        as a view of it, without a copy.
+        as a view of it, without a copy.  A negative count raises ShapeError.
         """
         i = int(start) - self._lo
         count = int(count)
+        if count < 0:
+            raise ShapeError(f"cannot read a run of {count} coefficients")
         width = len(self._arr)
         if 0 <= i and i + count <= width:
             return self._arr[i : i + count]
@@ -306,24 +304,13 @@ class LaurentPoly:
         return LaurentPoly._make(1, 1, n * self._lo, coeffs.reshape(npts, 1, 1))
 
 
-# Width of the shorter operand up to which lp_mul sums shifted block
-# products; a product of two wider series goes through the FFT.  Measured
-# crossover, one BLAS thread, x86_64, against a 33-block operand (shift-sum
-# / FFT in microseconds, shorter operand 3, 4, 5 and 6 blocks wide):
-#   6x3 by 3x6 blocks:  83/115  112/118  115/81  106/82
-#   2x2 by 2x2 blocks:  77/97   92/73    117/96  130/90
-#   1x1 by 1x1 blocks:  21/62   24/57    38/68   46/70
-# Scalar products stay cheaper by shift-sum up to about 8 blocks, but the
-# difference there is tens of microseconds.
-_SHIFT_SUM_MAX_WIDTH = 4
-
-
 def _fft_len(n: int) -> int:
     """Smallest length >= n of the form 2^k times 1, 3, 5, 9 or 15.
 
     Such lengths split into radix 2, 3 and 5 passes; a length with a large
-    prime factor is several times slower (n = 2049 = 3 x 683: 1.2 ms
-    against 0.38 ms at 2304 for a 2x1 by 1x2 product of width 1025).
+    prime factor is several times slower (``CircleGrid.values`` of a
+    (1025, 2, 1) run, x86_64: 0.27 ms at 2049 = 3 x 683 against 0.06 ms
+    at 2304).
     """
     return min(odd << (-(-n // odd) - 1).bit_length() for odd in (1, 3, 5, 9, 15))
 
@@ -339,7 +326,9 @@ class CircleGrid:
     product back with one inverse FFT.  A product whose support spans at
     most L consecutive degrees comes back with round-off of about
     eps |f| |g| times the width in every degree its factors' supports
-    reach, and exactly zero in every other degree.
+    reach, and exactly zero in every other degree.  The data identities and
+    inclusions are read off one such grid per data set (``DataSet.spectrum``);
+    ``lp_mul`` does not use one.
     """
 
     __slots__ = ("size",)
@@ -381,27 +370,18 @@ class CircleGrid:
 def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Product of two series (Cauchy convolution of coefficients).
 
-    The coefficient shapes must compose: f is r x k and g is k x c.  When
-    the shorter operand is at most ``_SHIFT_SUM_MAX_WIDTH`` blocks wide, a
-    loop over its degrees multiplies each of its coefficients into every
-    coefficient of the other at once.  Otherwise both coefficient runs are
-    evaluated on a ``CircleGrid`` of at least len(f) + len(g) - 1 points,
-    so that nothing wraps around, multiplied by one batched matmul and read
-    back; every degree that the supports of f and g cannot reach is exactly
-    zero.
+    The coefficient shapes must compose: f is r x k and g is k x c.  A loop
+    over the degrees of the shorter operand multiplies each of its
+    coefficients into every coefficient of the other at once: the cost is
+    O(width_f * width_g) block products, in min(width_f, width_g) batched
+    matmuls.
     """
     if f.cols != g.rows:
         raise ShapeError(f"cannot multiply {f.shape} by {g.shape} series")
     if f.is_zero or g.is_zero:
         return LaurentPoly.zero(f.rows, g.cols)
     A, B = f._arr, g._arr
-    n = len(A) + len(B) - 1
-    if min(len(A), len(B)) > _SHIFT_SUM_MAX_WIDTH:
-        grid = CircleGrid(n)
-        supports = ((0, A.any(axis=(1, 2))), (0, B.any(axis=(1, 2))))
-        out = grid.coeffs(grid.values(A) @ grid.values(B), 0, n, *supports)
-        return LaurentPoly._make(f.rows, g.cols, f._lo + g._lo, out)
-    out = np.zeros((n, f.rows, g.cols), dtype=complex)
+    out = np.zeros((len(A) + len(B) - 1, f.rows, g.cols), dtype=complex)
     if len(A) <= len(B):
         for i, a in enumerate(A):
             out[i : i + len(B)] += np.matmul(a, B)

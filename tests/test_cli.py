@@ -357,6 +357,34 @@ def test_poly_solve_evaluates_the_rows_once(monkeypatch, tmp_path):
     assert verifies == []
 
 
+_COMMANDS = {
+    "solve-poly": ["solve", "{problem}", "--method", "poly"],
+    "solve-truncated": ["solve", "{problem}", "--method", "truncated"],
+    "solve-factorization": ["solve", "{problem}", "--method", "factorization"],
+    "solve-all": ["solve", "{problem}", "--method", "all"],
+    "check": ["check", "{problem}"],
+    "verify": ["verify", "{problem}", "{g}"],
+    "synthesize-random": ["synthesize", "--random", "--p", "2", "--q", "1", "--m", "6",
+                          "--norm", "0.7", "--seed", "3", "{out}"],
+    "synthesize": ["synthesize", "{g}", "{out}"],
+    "invert": ["invert", "{g}"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_no_command_multiplies_series(monkeypatch, tmp_path, capsys, command):
+    # the identities and inclusions are read off one grid per data set and
+    # the routes solve on coefficient runs, so no command calls lp_mul
+    fx = hv.random_fixture(p=2, q=1, m=6, target_norm=0.7, rng_seed=3)
+    paths = {"problem": tmp_path / "random.json", "g": tmp_path / "g.json", "out": tmp_path / "out.json"}
+    io_json.write_json(paths["problem"], io_json.problem_to_json(fx.data))
+    io_json.write_json(paths["g"], io_json.poly_to_json(fx.g))
+    products = []
+    _count_calls(monkeypatch, series.lp_mul, products)
+    assert cli.main([a.format(**paths) for a in _COMMANDS[command]]) == 0
+    assert products == []
+
+
 def test_exit_code_is_function_of_report():
     from hankelinv.diagnostics import CheckEntry, CheckReport
 

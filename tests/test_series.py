@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 import hankelinv as hv
 from hankelinv import LaurentPoly, SubspaceTag
 from hankelinv.errors import ShapeError
-from hankelinv.series import _SHIFT_SUM_MAX_WIDTH
 
 from conftest import random_poly
 from support import lp_det_cofactor
@@ -139,11 +138,11 @@ def test_mul_matches_reference_convolution(pair):
     assert_matches_reference(*pair)
 
 
-@pytest.mark.parametrize("short", [1, _SHIFT_SUM_MAX_WIDTH, _SHIFT_SUM_MAX_WIDTH + 1, 12])
+@pytest.mark.parametrize("short", [1, 4, 5, 12])
 @pytest.mark.parametrize("r,k,c", [(1, 1, 1), (3, 2, 3)])
-def test_mul_either_side_of_the_width_limit(short, r, k, c):
-    # the shift-sum runs up to the limit and the FFT beyond it; both operand
-    # orders, so that either factor is the short one once
+def test_mul_short_and_wide_operands(short, r, k, c):
+    # a short operand against a 33-block one, in both operand orders, so
+    # that the shift-sum loops over either factor once
     rng = np.random.default_rng(short)
     narrow = random_poly(rng, r, k, range(-3, short - 3))
     wide = random_poly(rng, k, c, range(5, 38))
@@ -169,6 +168,22 @@ def test_mul_wide_gaps_stay_exactly_zero():
     assert prod.degrees() == tuple(reach)
     for gap in (range(31, 40), range(71, 80)):
         assert not prod.coeff_run(gap.start, len(gap)).any()
+
+
+@pytest.mark.parametrize("width", [5, 33, 257])
+def test_mul_integer_coefficients_exact(width):
+    # a product rounds like the block products it sums, so small integer
+    # coefficients multiply exactly at any width
+    rng = np.random.default_rng(width)
+    a = rng.integers(-8, 9, size=(width, 3, 2))
+    b = rng.integers(-8, 9, size=(width, 2, 3))
+    exact = np.zeros((2 * width - 1, 3, 3), dtype=np.int64)
+    for i in range(width):
+        exact[i : i + width] += a[i] @ b
+    prod = LaurentPoly.from_run(-2, a) * LaurentPoly.from_run(1, b)
+    expect = LaurentPoly.from_run(-1, exact)
+    assert prod.degrees() == expect.degrees()
+    assert hv.poly_gap(prod, expect) == 0.0
 
 
 def test_mul_overflow_raises():
@@ -385,6 +400,14 @@ def test_derived_coefficients_read_only(rng):
         for d in derived.degrees():
             with pytest.raises(ValueError):
                 derived.coeff(d)[0, 0] = 5.0
+
+
+def test_coeff_run_refuses_negative_count():
+    f = LaurentPoly.from_run(0, np.arange(1, 6).reshape(5, 1, 1))
+    for start in (0, 2, -1, 7):  # inside and outside the support
+        with pytest.raises(ShapeError):
+            f.coeff_run(start, -1)
+        assert f.coeff_run(start, 0).shape == (0, 1, 1)
 
 
 def test_coefficient_runs_in_and_out(rng):
