@@ -372,7 +372,7 @@ _COMMANDS = {
 
 
 @pytest.mark.parametrize("command", list(_COMMANDS))
-def test_no_command_multiplies_series(monkeypatch, tmp_path, capsys, command):
+def test_no_command_multiplies_series(monkeypatch, tmp_path, command):
     # the identities and inclusions are read off one grid per data set and
     # the routes solve on coefficient runs, so no command calls lp_mul
     fx = hv.random_fixture(p=2, q=1, m=6, target_norm=0.7, rng_seed=3)
