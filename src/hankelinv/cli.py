@@ -165,7 +165,7 @@ def cmd_invert(args) -> int:
     except SynthesisError as exc:
         _err(str(exc))
         return EXIT_SYNTHESIS
-    n = 4 * fx.data.m + 4 if args.order is None else args.order
+    n = fx.data.extent() if args.order is None else args.order
     suite = check_lemma_suite(fx.data, n, tol=args.tol)
     margin = inverse_margin(fx.data, g, n)
     inv = verify_inverse(build_omega(g, n), suite["m"], g.rows, g.cols, margin)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("g_file")
     si.add_argument(
         "--order", type=int, default=None,
-        help="window size N (default 4m+4, wide enough for the exact margins)",
+        help="window size N (default m+1, where every identity is exact; N <= m is inconclusive)",
     )
     si.add_argument("--tol", type=float, default=solver.DEFAULT_TOL)
     si.set_defaults(func=cmd_invert)

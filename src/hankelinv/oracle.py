@@ -44,8 +44,9 @@ def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
     m = 0 if g.is_zero else g.hi
     om = build_omega(g, m + 1)
     dim_p, dim_q = (m + 1) * p, (m + 1) * q
-    svals = np.linalg.svd(om, compute_uv=False)
-    if svals[-1] < 1e-12 * max(1.0, svals[0]):
+    # Omega's singular values are 1 +- s_i(H), and 1s when H is not square
+    s = np.linalg.svd(om[:dim_p, dim_p:], compute_uv=False)
+    if np.abs(1.0 - s).min(initial=1.0 if p != q else np.inf) < 1e-12 * (1.0 + s[0]):
         raise SynthesisError(
             "corner operator is singular; the symbol admits no data set "
             "with invertible corners at this window"

@@ -57,13 +57,13 @@ class SolveReport:
 
 
 def _identity_gate(data: DataSet, tol: float):
-    """(residuals, flags): refuse a singular corner, then gross identity
-    violations; flag moderate ones."""
+    """(residuals, flags): refuse a singular corner, then gross or unmeasured
+    (NaN) identity residuals; flag moderate ones."""
     data.corner_inverses()
     res = data.identity_residuals
-    worst_val = max(res)
-    worst_name = IDENTITY_NAMES[res.index(worst_val)]
-    if worst_val > REFUSAL_FACTOR * tol:
+    worst = int(np.argmax(res))  # the first NaN, if any
+    worst_val, worst_name = res[worst], IDENTITY_NAMES[worst]
+    if not worst_val <= REFUSAL_FACTOR * tol:
         raise DataIdentityError(
             f"data identities violated: {worst_name} residual {worst_val:.3e} "
             f"exceeds {REFUSAL_FACTOR:.0f} x tol = {REFUSAL_FACTOR * tol:.3e}",

@@ -7,12 +7,6 @@ blocks -N+1..0 left-to-right.  With abstract indices i (codomain) and j
 ranges differ between the kinds.  In window coordinates the minus index j
 maps to column position j + N - 1.
 
-Identities that suffer truncation corner effects are asserted only on a
-conservative exact margin: ``margin = N - sum(symbol support widths)``.
-The margin sub-window hugs the anchored corner of each space (top rows for
-a plus codomain, bottom rows for a minus codomain, and likewise for the
-domain columns).
-
 ``tri_toeplitz_solve`` is the package's one structured kernel: an O(m^2)
 chunked solver for lower triangular block Toeplitz systems of any block
 size, on (n, k, k) and (m, k, r) block arrays, whose chunk matrices are
@@ -136,33 +130,3 @@ def build(kind: OpKind, symbol, n_blocks: int) -> np.ndarray:
     # window block (i, j) holds the coefficient of degree i - j - anchor
     return _block_toeplitz(symbol.coeff_run(-(N - 1) - anchor, 2 * N - 1), N)
 
-
-def _corner_indices(spaces, n_blocks, margin):
-    """Indices of the margin corners along one axis of a stacked window.
-
-    ``spaces`` lists (space, block) in stacking order; a plus space keeps
-    its first ``margin`` blocks, a minus space its last.
-    """
-    m = min(max(margin, 0), n_blocks)
-    idx = []
-    offset = 0
-    for space, blk in spaces:
-        start = offset if space == "plus" else offset + (n_blocks - m) * blk
-        idx.append(np.arange(start, start + m * blk))
-        offset += n_blocks * blk
-    return np.concatenate(idx)
-
-
-def corner_residual(diff, rows, cols, n_blocks: int, margin: int) -> float:
-    """Max abs of a window matrix on the corners where an identity is exact.
-
-    ``rows`` and ``cols`` list the (space, block) pairs stacked along each
-    axis, space ``"plus"`` or ``"minus"``; the corner of each pair of
-    spaces is the margin sub-window hugging their anchored ends.  NaN when
-    the margin is empty.
-    """
-    ri = _corner_indices(rows, n_blocks, margin)
-    ci = _corner_indices(cols, n_blocks, margin)
-    if not (ri.size and ci.size):
-        return float("nan")
-    return float(np.max(np.abs(diff[np.ix_(ri, ci)])))

@@ -11,6 +11,12 @@ their block-row forms in the package), and M assembled from eight symbol
 windows (against ``build_m``'s four windows of the two shifted rows), and
 the Schur-Cohn recursion written one allocating step at a time (against
 the in-place recursion of the zero gate).
+
+Identities that suffer truncation corner effects are asserted here only on
+a conservative exact margin: ``margin = N - sum(symbol support widths)``.
+The margin sub-window hugs the anchored corner of each space (top rows for
+a plus codomain, bottom rows for a minus codomain, and likewise for the
+domain columns); ``corner_residual`` reads a window matrix there.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from hankelinv import DataSet, LaurentPoly, OpKind, build, build_omega, hankel_n
 from hankelinv.diagnostics import CheckEntry, CheckReport
 from hankelinv.errors import ShapeError
 from hankelinv.series import SubspaceTag
-from hankelinv.structured import corner_residual
 
 
 def _maxabs(x) -> float:
@@ -57,6 +62,37 @@ def margin_for(n_blocks: int, *symbols) -> int:
         else:
             total += 1
     return max(0, n_blocks - total)
+
+
+def _corner_indices(spaces, n_blocks, margin):
+    """Indices of the margin corners along one axis of a stacked window.
+
+    ``spaces`` lists (space, block) in stacking order; a plus space keeps
+    its first ``margin`` blocks, a minus space its last.
+    """
+    m = min(max(margin, 0), n_blocks)
+    idx = []
+    offset = 0
+    for space, blk in spaces:
+        start = offset if space == "plus" else offset + (n_blocks - m) * blk
+        idx.append(np.arange(start, start + m * blk))
+        offset += n_blocks * blk
+    return np.concatenate(idx)
+
+
+def corner_residual(diff, rows, cols, n_blocks: int, margin: int) -> float:
+    """Max abs of a window matrix on the corners where an identity is exact.
+
+    ``rows`` and ``cols`` list the (space, block) pairs stacked along each
+    axis, space ``"plus"`` or ``"minus"``; the corner of each pair of
+    spaces is the margin sub-window hugging their anchored ends.  NaN when
+    the margin is empty.
+    """
+    ri = _corner_indices(rows, n_blocks, margin)
+    ci = _corner_indices(cols, n_blocks, margin)
+    if not (ri.size and ci.size):
+        return float("nan")
+    return float(np.max(np.abs(diff[np.ix_(ri, ci)])))
 
 
 def lp_det_cofactor(f: LaurentPoly) -> LaurentPoly:

@@ -47,6 +47,20 @@ def test_identities_perturbed_a0_isolated(deg1_fixture):
         assert rep.entry("identity_cross").value <= 1e-13
 
 
+def test_grid_residuals_exact_where_supports_cannot_reach():
+    # A grid product read back by inverse FFT carries round-off in every
+    # degree, so the read-back sets the degrees that no pair of non-zero
+    # blocks reaches to exactly 0.  The data of 0.4 z^3 have one non-zero
+    # degree per symbol, those of 0.3 + 0.2 z^2 even degrees only; on them
+    # these residuals are exactly 0
+    rep = hv.check_identities(hv.synthesize_data(LaurentPoly.single(3, [[0.4]])).data)
+    assert rep.entry("dual_a").value == 0.0
+    assert rep.entry("dual_d").value == 0.0
+    g = LaurentPoly.single(0, [[0.3]]) + LaurentPoly.single(2, [[0.2]])
+    data = hv.synthesize_data(g).data
+    assert hv.solve_polynomial(data).residual_inclusions[3] == 0.0  # g_delta_beta
+
+
 # -- zero locations ----------------------------------------------------------------
 
 

@@ -217,6 +217,45 @@ def test_verify_inverse_inconclusive_margin(deg0_fixture):
     assert rep["inconclusive"]
 
 
+def _whole_window_cases():
+    for p, q, m in ((1, 1, 0), (2, 1, 4), (3, 3, 8)):
+        fx = hv.random_fixture(p, q, m, 0.9, rng_seed=1)
+        yield f"random {(p, q, m)}", fx.g, fx.data
+    for g in (LaurentPoly.single(0, [[0.1]]) + LaurentPoly.single(8, [[0.2]]), LaurentPoly.zero(1, 1)):
+        yield f"synthesized {g.degrees()}", g, hv.synthesize_data(g).data
+    for norm in (1.5, 3.0):  # non-contractive: Omega is invertible but not positive
+        g, data, _ = corner_solve_data(2, 2, 3, norm, 1)
+        yield f"corner solve at norm {norm}", LaurentPoly.from_run(0, g), data
+
+
+WHOLE_WINDOW_KEYS = (
+    "thht_aa", "thht_ab", "thht_ba", "thht_bb", "thht_shifted",
+    "hankel_form_agreement", "j_congruence", "intertwine",
+)
+
+
+def test_identities_exact_on_whole_window():
+    # For data of degree m, every identity of M and Omega holds on the whole
+    # N-block window once N > m; at N = m the window cuts the Hankel supports
+    for name, g, data in _whole_window_cases():
+        m = data.m
+        for N in (m + 1, m + 2, 2 * m + 2, 4 * m + 4):
+            where = (name, N)
+            suite = hv.check_lemma_suite(data, N)
+            margin = hv.inverse_margin(data, g, N)
+            inv = hv.verify_inverse(hv.build_omega(g, N), suite["m"], data.p, data.q, margin)
+            assert margin == suite["margin"] == N and not suite["inconclusive"], where
+            assert inv["m_omega"] <= 1e-10 and inv["omega_m"] <= 1e-10, (where, inv)
+            floats = {k: v for k, v in suite.items() if isinstance(v, float)}
+            assert all(v <= 1e-10 for v in floats.values()), (where, floats)  # NaN fails too
+            assert suite["precondition_ok"], where
+        if m >= 1:
+            suite = hv.check_lemma_suite(data, m)
+            assert suite["inconclusive"] and suite["margin"] == 0, name
+            assert all(np.isnan(suite[k]) for k in WHOLE_WINDOW_KEYS), name
+            assert hv.inverse_margin(data, g, m) == 0, name
+
+
 # -- the identity suite -----------------------------------------------------------
 
 
@@ -253,6 +292,21 @@ def test_lemma_suite_flags_bad_precondition(deg1_fixture):
     )
     suite = hv.check_lemma_suite(bad, 8)
     assert not suite["precondition_ok"]
+
+
+def test_lemma_suite_precondition_fails_on_nan():
+    # delta = 1e160 (1 - 2.5/z + 0.66/z^2): delta* delta overflows, identity_d is NaN
+    data = DataSet(
+        alpha=LaurentPoly.identity(1),
+        beta=LaurentPoly.zero(1, 1),
+        gamma=LaurentPoly.zero(1, 1),
+        delta=LaurentPoly.from_run(-2, [[[6.6e159]], [[-2.5e160]], [[1e160]]]),
+    )
+    assert np.isnan(data.identity_residuals[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # so do the window products
+        suite = hv.check_lemma_suite(data, 12)
+    assert np.isnan(suite["precondition_identities"])
+    assert suite["precondition_ok"] is False
 
 
 def test_identity_triples_vanish_together():

@@ -1,5 +1,6 @@
 """Forward synthesis, brute recovery and fixture generation."""
 
+import numpy as np
 import pytest
 
 import hankelinv as hv
@@ -48,6 +49,46 @@ def test_synthesize_deg1_matches_corner_oracle(deg1_fixture):
 def test_synthesize_rejects_unit_norm():
     with pytest.raises(SynthesisError):
         hv.synthesize_data(LaurentPoly.constant([[1.0]]))
+
+
+def _refused_as_singular(g):
+    try:
+        hv.synthesize_data(g)
+    except SynthesisError as exc:
+        return "corner operator is singular" in str(exc)
+    return False
+
+
+def _omega_rule(g):
+    s = np.linalg.svd(hv.build_omega(g, g.hi + 1), compute_uv=False)
+    return bool(s[-1] < 1e-12 * max(1.0, s[0]))
+
+
+def test_singular_corner_rule_matches_omega_svd():
+    # the refusal reads the singular values of the Hankel corner H; it must
+    # fire exactly when the smallest singular value of Omega = [[I, H], [H*, I]]
+    # is below 1e-12 times its largest
+    special = [
+        (np.diag([2.0, 1.0]), True),  # sigma(H) = (2, 1)
+        (np.diag([2.0, 0.5]), False),
+        ([[2.0, 0.0]], False),  # Omega's singular values are 3, 1 and 1
+        ([[2e12, 0.0]], True),  # ... 1 + 2e12, 1 and 2e12 - 1
+    ]
+    for mat, fires in special:
+        g = LaurentPoly.constant(mat)
+        assert _omega_rule(g) == fires and _refused_as_singular(g) == fires, mat
+    rng = np.random.default_rng(5)
+    for p, q, m in [(p, q, m) for p in (1, 2, 3) for q in (1, 2, 3) for m in (0, 3, 8)]:
+        draw = rng.standard_normal((m + 1, p, q)) + 1j * rng.standard_normal((m + 1, p, q))
+        g = LaurentPoly.from_run(0, draw)
+        g = (1.0 / hv.hankel_norm(g)) * g
+        for norm in (0.3, 0.9, 1 - 1e-10, 1 - 1e-13, 1.0, 2.0):
+            rule = _omega_rule(norm * g)
+            assert _refused_as_singular(norm * g) == rule, (p, q, m, norm)
+            if norm in (1 - 1e-13, 1.0):
+                assert rule, (p, q, m, norm)
+            elif norm < 1:
+                assert not rule, (p, q, m, norm)
 
 
 def test_synthesize_rejects_minus_support():

@@ -357,6 +357,15 @@ def test_factorization_no_paths():
         hv.solve_factorization(data, tol=1e6)
 
 
+def test_solve_all_notes_unavailable_factorization():
+    # non-contractive data of Hankel norm 1.2 fail both zero gates: solve_all
+    # keeps the other two routes and says why the third is missing
+    _, data, _ = corner_solve_data(1, 1, 3, 1.2, 1)
+    reports, _, notes = hv.solve_all(data)
+    assert sorted(reports) == ["polynomial", "truncated"]
+    assert notes == ["both factorization paths unavailable: alpha zeros fail, delta zeros fail"]
+
+
 # -- dual phi -----------------------------------------------------------------------
 
 
