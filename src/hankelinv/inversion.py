@@ -2,9 +2,10 @@
 
 ``build_omega`` assembles the window of [[I, H+(g)], [H-(g*), I]] and
 ``build_m`` the window of its inverse candidate M, from the data symbols
-alone.  With the shift factors absorbed into the shifted block rows
-R = [alpha, z beta] and C' = [gamma/z, delta], M is built from four
-windows, P = T+(R), Hp = H+(R/z), Hm = H-(z C') and Q = T-(C'):
+alone; ``build_m_blocks`` forms only the blocks M11, M12 and M22 that the
+truncated route reads.  With the shift factors absorbed into the shifted
+block rows R = [alpha, z beta] and C' = [gamma/z, delta], M is built from
+four windows, P = T+(R), Hp = H+(R/z), Hm = H-(z C') and Q = T-(C'):
 
     M = [[P, -Hp], [Hm, -Q]] diag(K, K) blockdiag(P, Q)*,
 
@@ -110,7 +111,8 @@ class DataSet:
         return self.m + 1
 
     def corner_inverses(self):
-        """(a0^-1, d0^-1), computed once; raises when either corner is near-singular."""
+        """(a0^-1, d0^-1), computed once; raises when either corner is
+        near-singular or has no entry of normal double magnitude."""
         return self._corner_inverses
 
     @cached_property
@@ -120,6 +122,12 @@ class DataSet:
                 raise SingularCornerError(
                     f"corner matrix {name} is numerically singular "
                     f"(cond > {CORNER_COND_LIMIT:.0e})"
+                )
+            # cond is scale-free: a 1x1 corner of 1e-310 has cond 1
+            if np.abs(mat).max() < np.finfo(float).tiny:
+                raise SingularCornerError(
+                    f"corner matrix {name} is numerically singular "
+                    f"(largest entry below {np.finfo(float).tiny:.1e})"
                 )
         inverses = np.linalg.inv(self.a0), np.linalg.inv(self.d0)
         for mat in inverses:
@@ -200,19 +208,20 @@ def build_omega(g: LaurentPoly, n_blocks: int) -> np.ndarray:
 
 
 def _scaled(w: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """w times diag(k, ..., k): k acts on each (p+q)-column block of w."""
-    rows = w.shape[0]
-    return (w.reshape(rows, -1, k.shape[0]) @ k).reshape(rows, -1)
+    """w times diag(k, ..., k): k acts on each (p+q)-column block of w, as one product."""
+    return (w.reshape(-1, k.shape[0]) @ k).reshape(w.shape)
 
 
-def _assemble(data: DataSet, N: int):
-    """M's window, K and the stacked windows x = [P; Hm] and y = [Hp; Q].
+def _windows(data: DataSet, N: int):
+    """K and the stacked windows x = [P; Hm] and y = [Hp; Q], each built once.
 
     R = [alpha, z beta] (degrees 0..m+1) and C' = [gamma/z, delta]
     (degrees -m-1..0) are each one run, so the columns of every window come
     in (p+q)-blocks, the first p columns from alpha or gamma.  M is
-    [x K P*, -y K Q*]; returns (m, k, x, y).
+    [x K P*, -y K Q*] with P = x[:Np] and Q = y[Np:]; returns (k, x, y).
     """
+    if N < 1:
+        raise ShapeError("window must retain at least one block")
     a0inv, d0inv = data.corner_inverses()
     p, q, n = data.p, data.q, data.extent()
     k = np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]])
@@ -221,16 +230,34 @@ def _assemble(data: DataSet, N: int):
     r, c = LaurentPoly.from_run(0, r), LaurentPoly.from_run(-n, c)
     x = np.vstack([build(OpKind.TOEPLITZ_PLUS, r, N), build(OpKind.HANKEL_MINUS, c.shifted(1), N)])
     y = np.vstack([build(OpKind.HANKEL_PLUS, r.shifted(-1), N), build(OpKind.TOEPLITZ_MINUS, c, N)])
-    m = np.hstack([_scaled(x, k) @ x[: N * p].conj().T, _scaled(y, -k) @ y[N * p :].conj().T])
-    return m, k, x, y
+    return k, x, y
+
+
+def _m_window(k, x, y, n):
+    """M = [x K P*, -y K Q*] from ``_windows``, P the first n rows of x."""
+    return np.hstack([_scaled(x, k) @ x[:n].conj().T, _scaled(y, -k) @ y[n:].conj().T])
 
 
 def build_m(data: DataSet, n_blocks: int) -> np.ndarray:
     """Window of the inverse candidate M assembled from the data, N(p+q) square."""
     N = int(n_blocks)
-    if N < 1:
-        raise ShapeError("window must retain at least one block")
-    return _assemble(data, N)[0]
+    k, x, y = _windows(data, N)
+    return _m_window(k, x, y, N * data.p)
+
+
+def build_m_blocks(data: DataSet, n_blocks: int):
+    """(M11, M12, M22) of M's N-block window, without M21.
+
+    M11 = (P K) P* and [M12; M22] = -(y K) Q*, one product for both, from
+    the windows of ``build_m``; x = [P; Hm] is read only as P.
+    """
+    N = int(n_blocks)
+    k, x, y = _windows(data, N)
+    n = N * data.p
+    p_win = x[:n]
+    m11 = _scaled(p_win, k) @ p_win.conj().T
+    right = _scaled(y, -k) @ y[n:].conj().T
+    return m11, right[:n], right[n:]
 
 
 def inverse_margin(data: DataSet, g: LaurentPoly, n_blocks: int) -> int:
@@ -296,8 +323,9 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
 
     worst_identity = float(np.max(data.identity_residuals))  # NaN when any residual is
 
-    mm, k, x, y = _assemble(data, N)
+    k, x, y = _windows(data, N)
     n = N * p
+    mm = _m_window(k, x, y, n)
     m11, m12, m21, m22 = mm[:n, :n], mm[:n, n:], mm[n:, :n], mm[n:, n:]
     j = np.repeat([1.0, -1.0], [n, N * q])
 

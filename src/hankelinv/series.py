@@ -287,9 +287,10 @@ class LaurentPoly:
         """Determinant as a 1x1 Laurent series.
 
         With f = z**lo p, det f = z**(n*lo) det p, and det p is a polynomial
-        of degree at most n*(hi-lo).  An inverse FFT evaluates p at the
-        npts = n*(hi-lo) + 1 roots of unity, and the FFT of the pointwise
-        determinants interpolates det p exactly.
+        of degree below npts = n*(hi-lo) + 1.  An inverse FFT evaluates p at
+        the L = ``_fft_len(npts)`` >= npts roots of unity, and the first npts
+        coefficients of the FFT of the pointwise determinants interpolate
+        det p exactly; the L - npts beyond them are round-off.
         """
         if self.rows != self.cols:
             raise ShapeError("determinant requires a square symbol")
@@ -299,8 +300,9 @@ class LaurentPoly:
         if n == 1:
             return self
         npts = n * (len(self._arr) - 1) + 1
-        vals = np.linalg.det(npts * np.fft.ifft(self._arr, n=npts, axis=0))
-        coeffs = np.fft.fft(vals) / npts
+        size = _fft_len(npts)
+        vals = np.linalg.det(size * np.fft.ifft(self._arr, n=size, axis=0))
+        coeffs = np.fft.fft(vals)[:npts] / size
         return LaurentPoly._make(1, 1, n * self._lo, coeffs.reshape(npts, 1, 1))
 
 

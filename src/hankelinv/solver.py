@@ -11,9 +11,10 @@
 * ``solve_truncated`` - the independent operator route: solve the
   windowed systems M11 x = b and M22 y = c and read the coefficients off
   the columns, with smallest-singular-value certificates for the
-  injectivity condition.  Its default window of m+1 blocks is exact,
-  because every factor of M11 and M22 is a triangular block Toeplitz
-  matrix that commutes with the window projection.
+  injectivity condition, read off the Hermitian windows' eigenvalues.  Its
+  default window of m+1 blocks is exact, because every factor of M11 and
+  M22 is a triangular block Toeplitz matrix that commutes with the window
+  projection.
 
 Every route passes one gate first, ``_identity_gate``: it refuses a
 singular corner a0 or d0 before it judges the identity triple.  Every
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import DataIdentityError, FactorizationUnavailableError, InjectivityError
-from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, build_m
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, build_m_blocks
 from .series import LaurentPoly, poly_gap
 from .structured import tri_toeplitz_solve  # noqa: F401  benchmark/tracer.py patches it by this name
 
@@ -116,12 +117,15 @@ def _hankel_window_stats(mat, p, q, n_blocks):
     """
     N = n_blocks
     view = mat.reshape(N, p, N, q).transpose(0, 2, 1, 3)  # view[i, j] is block (i, j)
-    i = np.arange(N)
-    diag = i[:, None] - i + N - 1  # run index of block (i, j)
-    run = np.zeros((2 * N - 1, p, q), dtype=complex)
-    np.add.at(run, diag, view)
+    # block (i, j) lies on run index k = i - j + N - 1: row i of the window,
+    # reversed, starts at run index i.  Rows of 2N + 1 blocks read as rows
+    # of 2N skew row i by i places, and a sum down the rows is the run.
+    skew = np.zeros((N, 2 * N + 1, p, q), dtype=complex)
+    skew[:, :N] = view[:, ::-1]
+    run = skew.reshape(-1, p, q)[: 2 * N * N].reshape(N, 2 * N, p, q)[:, : 2 * N - 1].sum(axis=0)
     run /= (N - np.abs(np.arange(1 - N, N)))[:, None, None]
-    return run, float(np.max(np.abs(view - run[diag])))
+    i = np.arange(N)
+    return run, float(np.max(np.abs(view - run[i[:, None] - i + N - 1])))
 
 
 def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TOL) -> SolveReport:
@@ -149,21 +153,23 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
 
     The smallest singular values of the M11 and M22 windows are the
     injectivity certificates; below ``tol`` times the window dimension the
-    solve refuses.  For solvable data the M11 window is a compression of
-    (I - H H*)^-1 >= I, so its smallest singular value is >= 1 up to
-    rounding, and M22 likewise.  The report also carries the gap between the two columns
-    and the Hankel-structure defect of -M11^-1 M12.
+    solve refuses.  Both windows are Hermitian, so each certificate is read
+    off its eigenvalues (``eigvalsh``) as the smallest modulus.  For
+    solvable data the M11 window is a compression of (I - H H*)^-1 >= I, so
+    its smallest singular value is >= 1 up to rounding, and M22 likewise.
+    Only M11, M12 and M22 are formed (``build_m_blocks``).  The report also
+    carries the gap between the two columns and the Hankel-structure defect
+    of -M11^-1 M12.
     """
     id_res, flags = _identity_gate(data, tol)
     m = data.m
     N = data.extent() if n_blocks is None else int(n_blocks)
     p, q = data.p, data.q
 
-    big = build_m(data, N)
+    m11, m12, m22 = build_m_blocks(data, N)
     n = N * p
-    m11, m12, m22 = big[:n, :n], big[:n, n:], big[n:, n:]
-    s11 = float(np.linalg.svd(m11, compute_uv=False)[-1])
-    s22 = float(np.linalg.svd(m22, compute_uv=False)[-1])
+    s11 = float(np.abs(np.linalg.eigvalsh(m11)).min())
+    s22 = float(np.abs(np.linalg.eigvalsh(m22)).min())
     for name, sval, dim in (("M11", s11, N * p), ("M22", s22, N * q)):
         if sval <= tol * dim:
             raise InjectivityError(

@@ -232,6 +232,42 @@ def test_check_below_double_range_exits_cleanly(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("method", ["poly", "truncated", "factorization", "all"])
+def test_solve_below_double_range_refused(tmp_path, capsys, method):
+    # a0 = 1e-310 is subnormal: cond(a0) is 1, but the corner gate refuses
+    # it before any solve, with one error line and no traceback
+    path = _big_scalar_file(tmp_path, "tiny310.json", 1e-310, "alpha")
+    assert cli.main(["solve", path, "--method", method]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: corner matrix a0 is numerically singular (largest entry below 2.2e-308)\n"
+    )
+    assert json.loads(captured.out)["refused"] is True
+
+
+def test_invert_fails_on_unmeasurable_residuals(tmp_path, capsys):
+    # g = 1e160 z synthesizes a corner a0 of 1e-320: the suite cannot be
+    # measured, so invert fails with one error line instead of passing
+    path = tmp_path / "g160.json"
+    io_json.write_json(path, io_json.poly_to_json(LaurentPoly.single(1, [[1e160]])))
+    assert cli.main(["invert", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_invert_nan_residual_fails(monkeypatch, g_file, capsys):
+    # a NaN residual compares False with the tolerance; it must not pass
+    real = cli.verify_inverse
+
+    def unmeasured(*args):
+        return dict(real(*args), m_omega=float("nan"))
+
+    monkeypatch.setattr(cli, "verify_inverse", unmeasured)
+    assert cli.main(["invert", g_file]) == 5
+    assert capsys.readouterr().err == "error: identity residual nan above tolerance 1.0e-10\n"
+
+
 def test_invert_inconclusive_window(g_file):
     # a window of N <= m blocks cuts the Hankel supports: no verdict
     assert cli.main(["invert", g_file, "--order", "1"]) == 6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import DataSet, LaurentPoly
+from hankelinv import DataSet, LaurentPoly, inversion
 from hankelinv.errors import ShapeError, SingularCornerError
 
 from conftest import random_poly
@@ -68,6 +68,20 @@ def test_dataset_singular_corner():
         hv.build_m(data, 3)
 
 
+@pytest.mark.parametrize("scale", [1e-310, 1e-320])
+def test_dataset_subnormal_corner(scale):
+    # a 1x1 or scaled identity corner has cond 1 at any scale; below the
+    # normal double range it is refused all the same
+    data = DataSet(
+        alpha=LaurentPoly.constant([[1.0]]),
+        beta=LaurentPoly.zero(1, 2),
+        gamma=LaurentPoly.zero(2, 1),
+        delta=LaurentPoly.constant(scale * np.eye(2)),
+    )
+    with pytest.raises(SingularCornerError, match="d0 .* below"):
+        data.corner_inverses()
+
+
 # -- omega --------------------------------------------------------------------
 
 
@@ -126,6 +140,18 @@ def test_build_m_matches_eight_window_reference(rng, p, q):
         for N in (1, m, m + 1, 2 * m + 5):
             ref = build_m_eight_windows(data, N)
             assert np.max(np.abs(hv.build_m(data, N) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 3), (3, 3)])
+def test_build_m_blocks_match_eight_window_reference(rng, p, q):
+    # M11, M12 and M22 of the truncated route, formed without M21
+    m = 3
+    data = hv.random_fixture(p, q, m, 0.8, rng_seed=p + q).data
+    for N in (1, m, m + 1, 2 * m + 5):
+        ref, n = build_m_eight_windows(data, N), N * p
+        blocks = inversion.build_m_blocks(data, N)
+        for got, want in zip(blocks, (ref[:n, :n], ref[:n, n:], ref[n:, n:])):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("p,q,N", [(1, 1, 3), (2, 1, 4), (2, 3, 9)])
