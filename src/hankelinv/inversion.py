@@ -2,10 +2,9 @@
 
 ``build_omega`` assembles the window of [[I, H+(g)], [H-(g*), I]] and
 ``build_m`` the window of its inverse candidate M, from the data symbols
-alone; ``build_m_blocks`` forms only the blocks M11, M12 and M22 that the
-truncated route reads.  With the shift factors absorbed into the shifted
-block rows R = [alpha, z beta] and C' = [gamma/z, delta], M is built from
-four windows, P = T+(R), Hp = H+(R/z), Hm = H-(z C') and Q = T-(C'):
+alone.  With the shift factors absorbed into the shifted block rows
+R = [alpha, z beta] and C' = [gamma/z, delta], M is built from four
+windows, P = T+(R), Hp = H+(R/z), Hm = H-(z C') and Q = T-(C'):
 
     M = [[P, -Hp], [Hm, -Q]] diag(K, K) blockdiag(P, Q)*,
 
@@ -212,16 +211,14 @@ def _scaled(w: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (w.reshape(-1, k.shape[0]) @ k).reshape(w.shape)
 
 
-def _windows(data: DataSet, N: int):
-    """K and the stacked windows x = [P; Hm] and y = [Hp; Q], each built once.
+def _assemble(data: DataSet, N: int):
+    """M's window, K and the stacked windows x = [P; Hm] and y = [Hp; Q].
 
     R = [alpha, z beta] (degrees 0..m+1) and C' = [gamma/z, delta]
     (degrees -m-1..0) are each one run, so the columns of every window come
     in (p+q)-blocks, the first p columns from alpha or gamma.  M is
-    [x K P*, -y K Q*] with P = x[:Np] and Q = y[Np:]; returns (k, x, y).
+    [x K P*, -y K Q*]; returns (m, k, x, y).
     """
-    if N < 1:
-        raise ShapeError("window must retain at least one block")
     a0inv, d0inv = data.corner_inverses()
     p, q, n = data.p, data.q, data.extent()
     k = np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]])
@@ -230,34 +227,16 @@ def _windows(data: DataSet, N: int):
     r, c = LaurentPoly.from_run(0, r), LaurentPoly.from_run(-n, c)
     x = np.vstack([build(OpKind.TOEPLITZ_PLUS, r, N), build(OpKind.HANKEL_MINUS, c.shifted(1), N)])
     y = np.vstack([build(OpKind.HANKEL_PLUS, r.shifted(-1), N), build(OpKind.TOEPLITZ_MINUS, c, N)])
-    return k, x, y
-
-
-def _m_window(k, x, y, n):
-    """M = [x K P*, -y K Q*] from ``_windows``, P the first n rows of x."""
-    return np.hstack([_scaled(x, k) @ x[:n].conj().T, _scaled(y, -k) @ y[n:].conj().T])
+    m = np.hstack([_scaled(x, k) @ x[: N * p].conj().T, _scaled(y, -k) @ y[N * p :].conj().T])
+    return m, k, x, y
 
 
 def build_m(data: DataSet, n_blocks: int) -> np.ndarray:
     """Window of the inverse candidate M assembled from the data, N(p+q) square."""
     N = int(n_blocks)
-    k, x, y = _windows(data, N)
-    return _m_window(k, x, y, N * data.p)
-
-
-def build_m_blocks(data: DataSet, n_blocks: int):
-    """(M11, M12, M22) of M's N-block window, without M21.
-
-    M11 = (P K) P* and [M12; M22] = -(y K) Q*, one product for both, from
-    the windows of ``build_m``; x = [P; Hm] is read only as P.
-    """
-    N = int(n_blocks)
-    k, x, y = _windows(data, N)
-    n = N * data.p
-    p_win = x[:n]
-    m11 = _scaled(p_win, k) @ p_win.conj().T
-    right = _scaled(y, -k) @ y[n:].conj().T
-    return m11, right[:n], right[n:]
+    if N < 1:
+        raise ShapeError("window must retain at least one block")
+    return _assemble(data, N)[0]
 
 
 def inverse_margin(data: DataSet, g: LaurentPoly, n_blocks: int) -> int:
@@ -323,9 +302,8 @@ def check_lemma_suite(data: DataSet, n_blocks: int, tol: float = DEFAULT_TOL) ->
 
     worst_identity = float(np.max(data.identity_residuals))  # NaN when any residual is
 
-    k, x, y = _windows(data, N)
+    mm, k, x, y = _assemble(data, N)
     n = N * p
-    mm = _m_window(k, x, y, n)
     m11, m12, m21, m22 = mm[:n, :n], mm[:n, n:], mm[n:, :n], mm[n:, n:]
     j = np.repeat([1.0, -1.0], [n, N * q])
 

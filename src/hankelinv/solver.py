@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import DataIdentityError, FactorizationUnavailableError, InjectivityError
-from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, build_m_blocks
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, build_m
 from .series import LaurentPoly, poly_gap
 from .structured import tri_toeplitz_solve  # noqa: F401  benchmark/tracer.py patches it by this name
 
@@ -153,23 +153,25 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
 
     The smallest singular values of the M11 and M22 windows are the
     injectivity certificates; below ``tol`` times the window dimension the
-    solve refuses.  Both windows are Hermitian, so each certificate is read
-    off its eigenvalues (``eigvalsh``) as the smallest modulus.  For
-    solvable data the M11 window is a compression of (I - H H*)^-1 >= I, so
-    its smallest singular value is >= 1 up to rounding, and M22 likewise.
-    Only M11, M12 and M22 are formed (``build_m_blocks``).  The report also
-    carries the gap between the two columns and the Hankel-structure defect
-    of -M11^-1 M12.
+    solve refuses.  Both windows are Hermitian as far as a0^-1 and d0^-1
+    are, which the identity gate bounds, so each certificate is the
+    smallest eigenvalue modulus (``eigvalsh``) of the window's Hermitian
+    part; its anti-Hermitian part moves that from the smallest singular
+    value only at second order.  For solvable data the M11 window is a
+    compression of (I - H H*)^-1 >= I, so its smallest singular value is
+    >= 1 up to rounding, and M22 likewise.  The report also carries the
+    gap between the two columns and the Hankel-structure defect of
+    -M11^-1 M12.
     """
     id_res, flags = _identity_gate(data, tol)
     m = data.m
     N = data.extent() if n_blocks is None else int(n_blocks)
     p, q = data.p, data.q
 
-    m11, m12, m22 = build_m_blocks(data, N)
+    big = build_m(data, N)
     n = N * p
-    s11 = float(np.abs(np.linalg.eigvalsh(m11)).min())
-    s22 = float(np.abs(np.linalg.eigvalsh(m22)).min())
+    m11, m12, m22 = big[:n, :n], big[:n, n:], big[n:, n:]
+    s11, s22 = (float(np.abs(np.linalg.eigvalsh(0.5 * (w + w.conj().T))).min()) for w in (m11, m22))
     for name, sval, dim in (("M11", s11, N * p), ("M22", s22, N * q)):
         if sval <= tol * dim:
             raise InjectivityError(

@@ -245,15 +245,15 @@ def test_solve_below_double_range_refused(tmp_path, capsys, method):
     assert json.loads(captured.out)["refused"] is True
 
 
-def test_invert_fails_on_unmeasurable_residuals(tmp_path, capsys):
-    # g = 1e160 z synthesizes a corner a0 of 1e-320: the suite cannot be
-    # measured, so invert fails with one error line instead of passing
+def test_invert_refuses_subnormal_corner(tmp_path, capsys):
+    # g = 1e160 z synthesizes a corner a0 of 1e-320: the lemma suite
+    # refuses it, so invert fails with one error line instead of passing
     path = tmp_path / "g160.json"
     io_json.write_json(path, io_json.poly_to_json(LaurentPoly.single(1, [[1e160]])))
     assert cli.main(["invert", str(path)]) == 5
-    captured = capsys.readouterr()
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
-    assert "Traceback" not in captured.err
+    assert capsys.readouterr().err == (
+        "error: corner matrix a0 is numerically singular (largest entry below 2.2e-308)\n"
+    )
 
 
 def test_invert_nan_residual_fails(monkeypatch, g_file, capsys):

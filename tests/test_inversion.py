@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hankelinv as hv
-from hankelinv import DataSet, LaurentPoly, inversion
+from hankelinv import DataSet, LaurentPoly
 from hankelinv.errors import ShapeError, SingularCornerError
 
 from conftest import random_poly
@@ -140,18 +140,6 @@ def test_build_m_matches_eight_window_reference(rng, p, q):
         for N in (1, m, m + 1, 2 * m + 5):
             ref = build_m_eight_windows(data, N)
             assert np.max(np.abs(hv.build_m(data, N) - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 3), (3, 3)])
-def test_build_m_blocks_match_eight_window_reference(rng, p, q):
-    # M11, M12 and M22 of the truncated route, formed without M21
-    m = 3
-    data = hv.random_fixture(p, q, m, 0.8, rng_seed=p + q).data
-    for N in (1, m, m + 1, 2 * m + 5):
-        ref, n = build_m_eight_windows(data, N), N * p
-        blocks = inversion.build_m_blocks(data, N)
-        for got, want in zip(blocks, (ref[:n, :n], ref[:n, n:], ref[n:, n:])):
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("p,q,N", [(1, 1, 3), (2, 1, 4), (2, 3, 9)])
