@@ -9,7 +9,6 @@ solvers and a full diagnostic suite for the solvability conditions.
 
 from .series import (
     LaurentPoly,
-    SubspaceTag,
     lp_mul,
     poly_gap,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "LaurentPoly",
     "OpKind",
     "SolveReport",
-    "SubspaceTag",
     "build",
     "build_m",
     "build_omega",

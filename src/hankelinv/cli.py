@@ -167,11 +167,7 @@ def cmd_invert(args) -> int:
         _err(str(exc))
         return EXIT_SYNTHESIS
     n = fx.data.extent() if args.order is None else args.order
-    try:
-        suite = check_lemma_suite(fx.data, n, tol=args.tol)
-    except SingularCornerError as exc:  # e.g. a corner below the double range
-        _err(str(exc))
-        return EXIT_FAIL
+    suite = check_lemma_suite(fx.data, n, tol=args.tol)
     margin = inverse_margin(fx.data, g, n)
     inv = verify_inverse(build_omega(g, n), suite["m"], g.rows, g.cols, margin)
     doc = {

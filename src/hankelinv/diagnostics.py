@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateError, ShapeError, SingularCornerError
 from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet
-from .series import CircleGrid, LaurentPoly, SubspaceTag
+from .series import CircleGrid, LaurentPoly
 from .structured import OpKind, build
 
 CIRCLE_BAND = 1e-8
@@ -113,7 +113,7 @@ def check_identities(data: DataSet, tol: float = DEFAULT_TOL) -> CheckReport:
         _residual_entry("d0_hermitian", np.abs(data.d0 - data.d0.conj().T).max(), tol),
     ]
     try:
-        a0inv, d0inv = data.corner_inverses()
+        a0inv, d0inv = data.corner_inverses
     except SingularCornerError:
         entries.append(CheckEntry("dual_triple", float("nan"), tol, "inconclusive"))
         return CheckReport(entries)
@@ -241,7 +241,7 @@ def hankel_norm(g: LaurentPoly) -> float:
     (m+1) x (m+1) block corner, so the largest singular value of that
     corner window is the exact operator norm.
     """
-    if not g.in_subspace(SubspaceTag.PLUS):
+    if not g.is_plus:
         raise ShapeError("hankel_norm needs a symbol supported on degrees >= 0")
     if g.is_zero:
         return 0.0
@@ -311,7 +311,7 @@ def inclusion_residuals(data: DataSet, g: LaurentPoly):
     """
     if g.shape != (data.p, data.q):
         raise ShapeError(f"g must be {(data.p, data.q)}, got {g.shape}")
-    if not g.in_subspace(SubspaceTag.PLUS):
+    if not g.is_plus:
         raise ShapeError("g must be supported on degrees >= 0")
     # with X = [A; z^m C], g C is z^-m times g (z^m C): its degrees 0..n-1
     # are degrees m..m+n-1 of the product on the grid

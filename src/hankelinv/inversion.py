@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError, SingularCornerError
-from .series import CircleGrid, LaurentPoly, SubspaceTag
+from .series import CircleGrid, LaurentPoly
 from .structured import CORNER_COND_LIMIT, OpKind, build, tri_toeplitz_solve
 
 DEFAULT_TOL = 1e-10
@@ -70,15 +70,15 @@ class DataSet:
         p = self.alpha.rows
         q = self.delta.rows
         shapes = {
-            "alpha": (self.alpha, (p, p), SubspaceTag.PLUS),
-            "beta": (self.beta, (p, q), SubspaceTag.PLUS),
-            "gamma": (self.gamma, (q, p), SubspaceTag.MINUS),
-            "delta": (self.delta, (q, q), SubspaceTag.MINUS),
+            "alpha": (self.alpha, (p, p), self.alpha.is_plus),
+            "beta": (self.beta, (p, q), self.beta.is_plus),
+            "gamma": (self.gamma, (q, p), self.gamma.is_minus),
+            "delta": (self.delta, (q, q), self.delta.is_minus),
         }
-        for name, (sym, shape, tag) in shapes.items():
+        for name, (sym, shape, inside) in shapes.items():
             if sym.shape != shape:
                 raise ShapeError(f"{name} must be {shape}, got {sym.shape}")
-            if not sym.in_subspace(tag):
+            if not inside:
                 raise ShapeError(f"{name} has support outside its subspace")
         for name, sym, n in (("a0", self.alpha, p), ("d0", self.delta, q)):
             given = getattr(self, name)
@@ -109,13 +109,10 @@ class DataSet:
         """Block extent m+1 of every windowed operator built from the data."""
         return self.m + 1
 
+    @cached_property
     def corner_inverses(self):
         """(a0^-1, d0^-1), computed once; raises when either corner is
         near-singular or has no entry of normal double magnitude."""
-        return self._corner_inverses
-
-    @cached_property
-    def _corner_inverses(self):
         for name, mat in (("a0", self.a0), ("d0", self.d0)):
             if np.linalg.cond(mat) > CORNER_COND_LIMIT:
                 raise SingularCornerError(
@@ -195,7 +192,7 @@ class DataSet:
 
 def build_omega(g: LaurentPoly, n_blocks: int) -> np.ndarray:
     """Window of [[I, H+(g)], [H-(g*), I]] for a plus symbol g, N(p+q) square."""
-    if not g.in_subspace(SubspaceTag.PLUS):
+    if not g.is_plus:
         raise ShapeError("g must be supported on degrees >= 0")
     N = int(n_blocks)
     n = N * g.rows
@@ -219,7 +216,7 @@ def _assemble(data: DataSet, N: int):
     in (p+q)-blocks, the first p columns from alpha or gamma.  M is
     [x K P*, -y K Q*]; returns (m, k, x, y).
     """
-    a0inv, d0inv = data.corner_inverses()
+    a0inv, d0inv = data.corner_inverses
     p, q, n = data.p, data.q, data.extent()
     k = np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]])
     r = np.concatenate([data.alpha.coeff_run(0, n + 1), data.beta.coeff_run(-1, n + 1)], 2)

@@ -210,10 +210,6 @@ def _jsonable(value):
         value = value.item()
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if isinstance(value, complex):
-        return _jsonable([value.real, value.imag])
-    if isinstance(value, np.ndarray):
-        return _jsonable(matrix_to_json(np.atleast_2d(value)))
     if isinstance(value, LaurentPoly):
         return poly_to_json(value)
     if isinstance(value, dict):

@@ -17,7 +17,7 @@ import numpy as np
 from . import diagnostics
 from .errors import ShapeError, SynthesisError
 from .inversion import DataSet, build_omega
-from .series import LaurentPoly, SubspaceTag
+from .series import LaurentPoly
 
 
 @dataclass
@@ -38,7 +38,7 @@ def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
     singular (Hankel norm 1), in which case no such data set with
     invertible corners exists at this window.
     """
-    if not g.in_subspace(SubspaceTag.PLUS):
+    if not g.is_plus:
         raise ShapeError("the generating symbol must be supported on degrees >= 0")
     p, q = g.rows, g.cols
     m = 0 if g.is_zero else g.hi
@@ -65,7 +65,8 @@ def synthesize_data(g: LaurentPoly, note: str = "") -> Fixture:
 
     id_res = diagnostics.check_identities(data, tol=1e-12)
     incl = diagnostics.inclusion_residuals(data, g)
-    if max(e.value for e in id_res.entries) > 1e-12 or max(incl) > 1e-12:
+    # a NaN entry or residual was not measured, and refuses like a large one
+    if not (id_res.passed and all(r <= 1e-12 for r in incl)):
         raise SynthesisError("synthesized data failed its own consistency checks")
     return Fixture(g=g, data=data, note=note)
 

@@ -12,8 +12,8 @@ was computed and never rounded to zero first.  Storage is dense over the
 support width: a series with two coefficients far apart holds every zero
 block between them.
 
-Negation, shifts, adjoints and projections move coefficients without
-rounding, and a sum rounds each coefficient once.  A product (``lp_mul``)
+Negation, shifts and adjoints move coefficients without rounding, and
+a sum rounds each coefficient once.  A product (``lp_mul``)
 sums shifted block products over the degrees of its shorter operand and
 rounds like the matrix products it makes: a product with a constant is
 one block product, integer coefficients multiply exactly while every sum
@@ -39,34 +39,11 @@ promoted to a series.  All values are immutable after construction
 
 from __future__ import annotations
 
-import enum
 import numbers
 
 import numpy as np
 
 from .errors import ShapeError
-
-
-class SubspaceTag(enum.Enum):
-    """Support classes of Laurent series on the circle.
-
-    ``PLUS`` keeps degrees >= 0, ``MINUS`` degrees <= 0 and the ``*_ZERO``
-    variants exclude degree 0.
-    """
-
-    PLUS = "plus"
-    MINUS = "minus"
-    PLUS_ZERO = "plus_zero"
-    MINUS_ZERO = "minus_zero"
-
-
-# inclusive degree range of each tag; None leaves that side open
-_BOUNDS = {
-    SubspaceTag.PLUS: (0, None),
-    SubspaceTag.MINUS: (None, 0),
-    SubspaceTag.PLUS_ZERO: (1, None),
-    SubspaceTag.MINUS_ZERO: (None, -1),
-}
 
 
 def _canonicalise(lo, arr):
@@ -158,6 +135,16 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return len(self._arr) == 0
 
+    @property
+    def is_plus(self) -> bool:
+        """True when every non-zero coefficient has degree >= 0."""
+        return self.is_zero or self._lo >= 0
+
+    @property
+    def is_minus(self) -> bool:
+        """True when every non-zero coefficient has degree <= 0."""
+        return self.is_zero or self.hi <= 0
+
     def degrees(self):
         """Sorted tuple of degrees with non-zero coefficients."""
         nonzero = np.flatnonzero(self._arr.any(axis=(1, 2)))
@@ -210,19 +197,6 @@ class LaurentPoly:
             return 0.0
         return float(np.abs(self._arr).max())
 
-    def _span(self, tag: SubspaceTag):
-        """Index range [start, stop) of the stored blocks with degrees in ``tag``."""
-        lo, hi = _BOUNDS[tag]
-        width = len(self._arr)
-        start = 0 if lo is None else min(max(lo - self._lo, 0), width)
-        stop = width if hi is None else min(max(hi - self._lo + 1, 0), width)
-        return start, stop
-
-    def in_subspace(self, tag: SubspaceTag) -> bool:
-        """True when every coefficient outside ``tag``'s support is zero."""
-        start, stop = self._span(tag)
-        return not (self._arr[:start].any() or self._arr[stop:].any())
-
     def __repr__(self):
         if self.is_zero:
             supp = "zero"
@@ -269,19 +243,12 @@ class LaurentPoly:
         """Pointwise conjugate transpose on the circle.
 
         Coefficient j of the result is the conjugate transpose of
-        coefficient -j, so PLUS and MINUS supports swap.
+        coefficient -j, so plus and minus supports swap.
         """
         width = len(self._arr)
         out = np.empty((width, self.cols, self.rows), dtype=complex)
         np.conjugate(self._arr[::-1].transpose(0, 2, 1), out=out)
         return LaurentPoly._wrap(self.cols, self.rows, 1 - self._lo - width, out)
-
-    def project(self, tag: SubspaceTag) -> "LaurentPoly":
-        """Keep exactly the coefficients whose degree lies in ``tag``."""
-        start, stop = self._span(tag)
-        out = np.zeros_like(self._arr)
-        out[start:stop] = self._arr[start:stop]
-        return LaurentPoly._make(self.rows, self.cols, self._lo, out)
 
     def det(self) -> "LaurentPoly":
         """Determinant as a 1x1 Laurent series.

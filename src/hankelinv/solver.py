@@ -51,7 +51,7 @@ class SolveReport:
 
     @property
     def accepted(self) -> bool:
-        return max(self.residual_inclusions) <= self.tol
+        return all(r <= self.tol for r in self.residual_inclusions)
 
 
 # -- shared gates -------------------------------------------------------------
@@ -60,7 +60,7 @@ class SolveReport:
 def _identity_gate(data: DataSet, tol: float):
     """(residuals, flags): refuse a singular corner, then gross or unmeasured
     (NaN) identity residuals; flag moderate ones."""
-    data.corner_inverses()
+    data.corner_inverses  # raises SingularCornerError
     res = data.identity_residuals
     worst = int(np.argmax(res))  # the first NaN, if any
     worst_val, worst_name = res[worst], IDENTITY_NAMES[worst]

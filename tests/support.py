@@ -28,7 +28,6 @@ import numpy as np
 from hankelinv import DataSet, LaurentPoly, OpKind, build, build_omega, hankel_norm, lp_mul
 from hankelinv.diagnostics import CheckEntry, CheckReport
 from hankelinv.errors import ShapeError
-from hankelinv.series import SubspaceTag
 
 
 def _maxabs(x) -> float:
@@ -192,7 +191,7 @@ def dual_triple_per_symbol(data: DataSet) -> tuple:
     """alpha a0^-1 alpha* - beta d0^-1 beta* - I, delta d0^-1 delta* -
     gamma a0^-1 gamma* - I and alpha a0^-1 gamma* - beta d0^-1 delta*."""
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
-    a0inv, d0inv = data.corner_inverses()
+    a0inv, d0inv = data.corner_inverses
     ai, di = LaurentPoly.constant(a0inv), LaurentPoly.constant(d0inv)
     e_p, e_q = LaurentPoly.identity(data.p), LaurentPoly.identity(data.q)
     s1 = (al * ai * al.adjoint() - be * di * be.adjoint() - e_p).sup_norm()
@@ -201,16 +200,28 @@ def dual_triple_per_symbol(data: DataSet) -> tuple:
     return (s1, s2, s3)
 
 
+def plus_part(f: LaurentPoly) -> LaurentPoly:
+    """The coefficients of f of degrees >= 0, as a series."""
+    count = 0 if f.is_zero else max(f.hi + 1, 0)
+    return LaurentPoly.from_run(0, f.coeff_run(0, count))
+
+
+def minus_part(f: LaurentPoly) -> LaurentPoly:
+    """The coefficients of f of degrees <= 0, as a series."""
+    count = 0 if f.is_zero else max(1 - f.lo, 0)
+    return LaurentPoly.from_run(1 - count, f.coeff_run(1 - count, count))
+
+
 def inclusions_per_symbol(data: DataSet, g: LaurentPoly) -> tuple:
     """The four projected inclusions, in ``verify_solution``'s order."""
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta
     e_p, e_q = LaurentPoly.identity(data.p), LaurentPoly.identity(data.q)
     gs = g.adjoint()
     return (
-        (al + g * ga - e_p).project(SubspaceTag.PLUS).sup_norm(),
-        (gs * al + ga).project(SubspaceTag.MINUS).sup_norm(),
-        (de + gs * be - e_q).project(SubspaceTag.MINUS).sup_norm(),
-        (g * de + be).project(SubspaceTag.PLUS).sup_norm(),
+        plus_part(al + g * ga - e_p).sup_norm(),
+        minus_part(gs * al + ga).sup_norm(),
+        minus_part(de + gs * be - e_q).sup_norm(),
+        plus_part(g * de + be).sup_norm(),
     )
 
 
@@ -221,7 +232,7 @@ def build_m_eight_windows(data: DataSet, N: int) -> np.ndarray:
     H+(alpha/z), T-(delta) and T-(gamma/z); the corner inverses enter as
     np.kron(I_N, a0^-1) and np.kron(I_N, d0^-1).
     """
-    a0inv, d0inv = data.corner_inverses()
+    a0inv, d0inv = data.corner_inverses
     da = np.kron(np.eye(N), a0inv)
     dd = np.kron(np.eye(N), d0inv)
     al, be, ga, de = data.alpha, data.beta, data.gamma, data.delta

@@ -245,15 +245,29 @@ def test_solve_below_double_range_refused(tmp_path, capsys, method):
     assert json.loads(captured.out)["refused"] is True
 
 
-def test_invert_refuses_subnormal_corner(tmp_path, capsys):
-    # g = 1e160 z synthesizes a corner a0 of 1e-320: the lemma suite
-    # refuses it, so invert fails with one error line instead of passing
+def _g160_file(tmp_path):
+    # g = 1e160 z synthesizes a corner a0 of 1e-320, below the normal
+    # double range: its dual triple cannot be measured (NaN, inconclusive)
     path = tmp_path / "g160.json"
     io_json.write_json(path, io_json.poly_to_json(LaurentPoly.single(1, [[1e160]])))
-    assert cli.main(["invert", str(path)]) == 5
+    return str(path)
+
+
+def test_invert_refuses_subnormal_corner(tmp_path, capsys):
+    # synthesis refuses the data whose self-check it cannot measure
+    assert cli.main(["invert", _g160_file(tmp_path)]) == 3
     assert capsys.readouterr().err == (
-        "error: corner matrix a0 is numerically singular (largest entry below 2.2e-308)\n"
+        "error: synthesized data failed its own consistency checks\n"
     )
+
+
+def test_synthesize_refuses_subnormal_corner(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.main(["synthesize", _g160_file(tmp_path), str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: synthesized data failed its own consistency checks\n"
+    )
+    assert not out.exists()
 
 
 def test_invert_nan_residual_fails(monkeypatch, g_file, capsys):

@@ -14,6 +14,7 @@ from support import (
     dual_triple_per_symbol,
     identity_triple_per_symbol,
     inclusions_per_symbol,
+    plus_part,
     trivial_data,
 )
 
@@ -237,7 +238,7 @@ def test_block_forms_match_per_symbol_reference(norm):
         g = LaurentPoly.from_run(0, g)
         scale = max(1.0, np.linalg.norm(data.a0, 2), np.linalg.norm(data.d0, 2)) ** 2
         coef = max(sym.sup_norm() for sym in (data.alpha, data.beta, data.gamma, data.delta))
-        inv = max(np.linalg.norm(x, 2) for x in data.corner_inverses())
+        inv = max(np.linalg.norm(x, 2) for x in data.corner_inverses)
         dual = hv.check_identities(data)
         pairs = [
             (hv.identity_residual_triple(data), identity_triple_per_symbol(data), scale),
@@ -308,7 +309,7 @@ def test_shifted_corner_cannot_fail(p, q, m):
     fx = hv.random_fixture(p=p, q=q, m=m, target_norm=0.9, rng_seed=3)
     n = m + 1
     corner = hv.build(hv.OpKind.HANKEL_PLUS, fx.g, n)
-    shifted = hv.build(hv.OpKind.HANKEL_PLUS, fx.g.shifted(-1).project(hv.SubspaceTag.PLUS), n)
+    shifted = hv.build(hv.OpKind.HANKEL_PLUS, plus_part(fx.g.shifted(-1)), n)
     assert np.array_equal(shifted, np.vstack([corner[p:], np.zeros((p, n * q))]))
     rep = hv.check_strict_contraction(fx.data, fx.g)
     assert [e.name for e in rep.entries][-1] == "hankel_norm"

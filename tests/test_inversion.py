@@ -53,7 +53,7 @@ def test_dataset_keeps_read_only_copies(deg1_fixture):
     given += 1.0
     assert np.array_equal(data.a0, d.a0)
     assert hv.identity_residual_triple(data) == before
-    for mat in (data.a0, data.d0, *data.corner_inverses()):
+    for mat in (data.a0, data.d0, *data.corner_inverses):
         assert not mat.flags.writeable
 
 
@@ -79,7 +79,7 @@ def test_dataset_subnormal_corner(scale):
         delta=LaurentPoly.constant(scale * np.eye(2)),
     )
     with pytest.raises(SingularCornerError, match="d0 .* below"):
-        data.corner_inverses()
+        data.corner_inverses
 
 
 # -- omega --------------------------------------------------------------------

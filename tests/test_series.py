@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hankelinv as hv
-from hankelinv import LaurentPoly, SubspaceTag
+from hankelinv import LaurentPoly
 from hankelinv.errors import ShapeError
 
 from conftest import random_poly
-from support import lp_det_cofactor
+from support import lp_det_cofactor, plus_part
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
@@ -235,46 +235,35 @@ def test_adjoint_antihomomorphism(pair):
 
 def test_adjoint_swaps_subspaces(rng):
     f = random_poly(rng, 2, 2, (1, 3))
-    assert f.in_subspace(SubspaceTag.PLUS_ZERO)
-    assert f.adjoint().in_subspace(SubspaceTag.MINUS_ZERO)
+    assert f.lo == 1 and f.is_plus
+    fs = f.adjoint()
+    assert fs.hi == -1 and fs.is_minus
 
 
-# -- projections --------------------------------------------------------------
-
-
-def test_project_plus_fixed_point(rng):
-    f = random_poly(rng, 2, 2, (0, 1, 2))
-    assert hv.poly_gap(f.project(SubspaceTag.PLUS), f) == 0.0
-
-
-def test_project_example():
-    f = LaurentPoly.from_run(-1, [[[1]], [[2]], [[1]]])
-    plus = f.project(SubspaceTag.PLUS)
-    assert plus.degrees() == (0, 1)
+# -- support classes ---------------------------------------------------------
 
 
 def test_project_factorization_example(deg1_fixture):
     # the plus part of alpha^-* gamma* is minus the generating symbol
     d = deg1_fixture.data
     a_adj_inv = LaurentPoly.constant(np.linalg.inv(d.alpha.adjoint().coeff(0)))
-    prod = (a_adj_inv * d.gamma.adjoint()).project(SubspaceTag.PLUS)
+    prod = plus_part(a_adj_inv * d.gamma.adjoint())
     assert hv.poly_gap(prod, -deg1_fixture.g) < 1e-13
 
 
-@given(polys(), st.sampled_from(list(SubspaceTag)))
-def test_project_idempotent(f, tag):
-    once = f.project(tag)
-    assert hv.poly_gap(once.project(tag), once) == 0.0
-
-
 @given(polys())
-def test_project_complementary(f):
-    assert hv.poly_gap(
-        f.project(SubspaceTag.PLUS) + f.project(SubspaceTag.MINUS_ZERO), f
-    ) == 0.0
-    assert hv.poly_gap(
-        f.project(SubspaceTag.PLUS_ZERO) + f.project(SubspaceTag.MINUS), f
-    ) == 0.0
+def test_support_classes_match_coefficients(f):
+    # polys() draws degrees -2..2: plus means nothing at -2, -1, minus nothing at 1, 2
+    assert f.is_plus == (not f.coeff_run(-2, 2).any())
+    assert f.is_minus == (not f.coeff_run(1, 2).any())
+
+
+@pytest.mark.parametrize(
+    "degree, plus, minus", [(None, True, True), (-1, False, True), (0, True, True), (1, True, False)]
+)
+def test_support_classes_examples(degree, plus, minus):
+    f = LaurentPoly.zero(2, 1) if degree is None else LaurentPoly.single(degree, [[1.0], [0.0]])
+    assert (f.is_plus, f.is_minus) == (plus, minus)
 
 
 # -- values on the circle -----------------------------------------------------

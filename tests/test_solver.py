@@ -427,6 +427,12 @@ def test_dual_phi_refuses_under_the_shared_gate():
         assert info.value.worst == "identity_a"
 
 
+def test_report_with_nan_residual_not_accepted():
+    # a NaN residual was not measured; a comparison with it is False in any position
+    rep = hv.SolveReport(LaurentPoly.zero(1, 1), "poly", (0.0, 0.0, 0.0), (0.0, float("nan"), 0.0, 0.0))
+    assert rep.accepted is False
+
+
 # -- cross-method properties ----------------------------------------------------------
 
 
