@@ -70,22 +70,11 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.verdict == "pass" for e in self.entries)
-
-    @property
-    def any_fail(self) -> bool:
-        return any(e.verdict == "fail" for e in self.entries)
-
-    @property
-    def any_inconclusive(self) -> bool:
-        return any(e.verdict == "inconclusive" for e in self.entries)
+        return self.overall() == "pass"
 
     def overall(self) -> str:
-        if self.any_fail:
-            return "fail"
-        if self.any_inconclusive:
-            return "inconclusive"
-        return "pass"
+        verdicts = {e.verdict for e in self.entries}
+        return next((v for v in ("fail", "inconclusive") if v in verdicts), "pass")
 
 
 def _residual_entry(name, value, threshold):
@@ -169,38 +158,38 @@ def _reflection_margin(c, r):
     return margin
 
 
-def _zeros_outside_entry(name, coeffs, band, tol):
+def _zeros_outside_entry(name, coeffs, tol):
     """Verdict on the zeros of sum_j coeffs[j] z**j lying outside |z| = 1.
 
     Leading coefficients below ``tol`` are dropped first (zeros at
-    infinity).  ``pass`` when the recursion at radius 1 + band keeps every
-    |k| < 1, so every zero has |z| > 1 + band; ``fail`` when at radius
-    1 - band it meets a |k| > 1, so some zero has |z| < 1 - band;
-    ``inconclusive`` otherwise.  The value is minus the margin at radius
-    1 + band and the threshold is 0.
+    infinity).  With band = CIRCLE_BAND: ``pass`` when the recursion at
+    radius 1 + band keeps every |k| < 1, so every zero has |z| > 1 + band;
+    ``fail`` when at radius 1 - band it meets a |k| > 1, so some zero has
+    |z| < 1 - band; ``inconclusive`` otherwise.  The value is minus the
+    margin at radius 1 + band and the threshold is 0.
     """
     c = np.asarray(coeffs, dtype=complex)
     while c.size and abs(c[-1]) < tol:
         c = c[:-1]
     if c.size == 0:
         raise DegenerateError("determinant is identically zero")
-    margin = _reflection_margin(c, 1.0 + band)
+    margin = _reflection_margin(c, 1.0 + CIRCLE_BAND)
     if margin > 0.0:
         return CheckEntry(name, -margin, 0.0, "pass")
-    verdict = "fail" if _reflection_margin(c, 1.0 - band) < 0.0 else "inconclusive"
+    verdict = "fail" if _reflection_margin(c, 1.0 - CIRCLE_BAND) < 0.0 else "inconclusive"
     return CheckEntry(name, -margin, 0.0, verdict)
 
 
-def check_zero_locations(data: DataSet, band: float = CIRCLE_BAND) -> CheckReport:
+def check_zero_locations(data: DataSet) -> CheckReport:
     """Locations of det(alpha) and det(delta) zeros relative to the circle.
 
-    alpha passes when det(alpha) has no zero with |z| <= 1 + band.  delta
-    is read in mu = 1/z, whose coefficient of mu**j is the degree -j
-    coefficient of det(delta), and passes when that polynomial has no zero
-    with |mu| <= 1 + band, that is when det(delta) has no zero with
-    |z| >= 1/(1 + band).  Each side fails when its polynomial has a zero
-    with modulus below 1 - band, and is inconclusive otherwise, when its
-    zeros nearest the origin lie in the band around the circle.
+    With band = CIRCLE_BAND, alpha passes when det(alpha) has no zero with
+    |z| <= 1 + band.  delta is read in mu = 1/z, whose coefficient of mu**j
+    is the degree -j coefficient of det(delta), and passes when that
+    polynomial has no zero with |mu| <= 1 + band, that is when det(delta)
+    has no zero with |z| >= 1/(1 + band).  Each side fails when its
+    polynomial has a zero with modulus below 1 - band, and is inconclusive
+    otherwise, when its zeros nearest the origin lie in the band.
 
     No zero is computed.  For a polynomial a of degree n with |a_n| < |a_0|,
     let b = conj(a_0) a - a_n a~, a~_j = conj(a_{n-j}), whose degree-n
@@ -228,7 +217,7 @@ def check_zero_locations(data: DataSet, band: float = CIRCLE_BAND) -> CheckRepor
             raise DegenerateError(f"det({side}) is identically zero")
         c = det.coeff_run(0, det.hi + 1) if side == "alpha" else det.coeff_run(det.lo, 1 - det.lo)[::-1]
         runs.append((f"{side}_det_zeros", c[:, 0, 0], DEFLATION_TOL * 2.0 ** min(e * n, 1000)))
-    return CheckReport([_zeros_outside_entry(name, c, band, tol) for name, c, tol in runs])
+    return CheckReport([_zeros_outside_entry(name, c, tol) for name, c, tol in runs])
 
 
 # -- contraction -------------------------------------------------------------
@@ -281,7 +270,7 @@ def check_strict_contraction(data: DataSet, g: LaurentPoly = None, tol: float = 
     entries += _identity_entries(data, tol)
     entries += check_zero_locations(data).entries
 
-    if g is None and not CheckReport(entries).any_fail:
+    if g is None and CheckReport(entries).overall() != "fail":
         try:
             g = data.b_side
         except ValueError:

@@ -6,11 +6,7 @@ class ShapeError(ValueError):
 
 
 class SingularCornerError(ValueError):
-    """A zero-degree corner matrix (a0 or d0) is numerically singular."""
-
-
-class SingularBlockError(ValueError):
-    """The diagonal block of a triangular block Toeplitz system is singular."""
+    """A zero-degree block (a0, d0 or a triangular system's diagonal) is singular."""
 
 
 class DataIdentityError(ValueError):

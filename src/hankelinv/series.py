@@ -14,7 +14,7 @@ block between them.
 
 Negation, shifts and adjoints move coefficients without rounding, and
 a sum rounds each coefficient once.  A product (``lp_mul``)
-sums shifted block products over the degrees of its shorter operand and
+sums shifted block products over the degrees of its right operand and
 rounds like the matrix products it makes: a product with a constant is
 one block product, integer coefficients multiply exactly while every sum
 stays below 2**53, and a degree that no pair of support degrees sums to
@@ -317,13 +317,8 @@ class CircleGrid:
         up).  A degree that no pair of support degrees sums to is set exactly
         to zero, and so is every degree outside the product's support.
         """
-        size = self.size
-        full = np.fft.ifft(values, axis=0)
-        start = lo % size
-        if start + count <= size:
-            out = full[start : start + count]
-        else:
-            out = np.concatenate((full[start:], full[: start + count - size]))
+        # degree d sits at index d mod L of the inverse FFT
+        out = np.fft.ifft(values, axis=0).take(np.arange(lo, lo + count), axis=0, mode="wrap")
         (f_lo, f_mask), (g_lo, g_mask) = f_support, g_support
         reach = np.convolve(f_mask, g_mask) != 0  # degrees f_lo + g_lo, ...
         skip = lo - f_lo - g_lo
@@ -340,10 +335,9 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Product of two series (Cauchy convolution of coefficients).
 
     The coefficient shapes must compose: f is r x k and g is k x c.  A loop
-    over the degrees of the shorter operand multiplies each of its
-    coefficients into every coefficient of the other at once: the cost is
-    O(width_f * width_g) block products, in min(width_f, width_g) batched
-    matmuls.
+    over the degrees of g multiplies each of its coefficients into every
+    coefficient of f at once: the cost is O(width_f * width_g) block
+    products, in width_g batched matmuls.
     """
     if f.cols != g.rows:
         raise ShapeError(f"cannot multiply {f.shape} by {g.shape} series")
@@ -351,12 +345,8 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero(f.rows, g.cols)
     A, B = f._arr, g._arr
     out = np.zeros((len(A) + len(B) - 1, f.rows, g.cols), dtype=complex)
-    if len(A) <= len(B):
-        for i, a in enumerate(A):
-            out[i : i + len(B)] += np.matmul(a, B)
-    else:
-        for j, b in enumerate(B):
-            out[j : j + len(A)] += np.matmul(A, b)
+    for j, b in enumerate(B):
+        out[j : j + len(A)] += np.matmul(A, b)
     return LaurentPoly._make(f.rows, g.cols, f._lo + g._lo, out)
 
 

@@ -19,10 +19,10 @@ import enum
 
 import numpy as np
 
-from .errors import ShapeError, SingularBlockError
+from .errors import ShapeError, SingularCornerError
 
 CORNER_COND_LIMIT = 1e12
-_CHUNK = 64
+_CHUNK_ROWS = 64
 
 
 class OpKind(enum.Enum):
@@ -74,9 +74,9 @@ def tri_toeplitz_solve(t, b):
 
     Notes
     -----
-    Cost is O(m^2) block products: each chunk of 64 block rows is one
-    solve against the same chunk matrix, followed by a block Toeplitz
-    update of the rows below it.
+    Cost is O(m^2) block products: each chunk of 64 scalar rows
+    (64 // k block rows, at least one) is one solve against the same chunk
+    matrix, followed by a block Toeplitz update of the rows below it.
     """
     t = _block_array(t, "coefficient")
     b = _block_array(b, "right-hand side")
@@ -91,15 +91,15 @@ def tri_toeplitz_solve(t, b):
     if m == 0:
         return np.zeros((0, k, r), dtype=complex)
     if np.linalg.cond(t[0]) > CORNER_COND_LIMIT:
-        raise SingularBlockError("diagonal block of the triangular system is singular")
+        raise SingularCornerError("diagonal block of the triangular system is singular")
 
     T = np.zeros((m, k, k), dtype=complex)
     T[: min(m, n)] = t[:m]
-    ln = min(_CHUNK, m)
-    lower = _block_toeplitz(np.concatenate([np.zeros_like(T[: ln - 1]), T[:ln]]), ln)
+    chunk = min(max(1, _CHUNK_ROWS // k), m)
+    lower = _block_toeplitz(np.concatenate([np.zeros_like(T[: chunk - 1]), T[:chunk]]), chunk)
     x = b.reshape(m * k, r).copy()
-    for s in range(0, m, _CHUNK):
-        e = min(s + _CHUNK, m)
+    for s in range(0, m, chunk):
+        e = min(s + chunk, m)
         w = e - s
         x[s * k : e * k] = np.linalg.solve(lower[: w * k, : w * k], x[s * k : e * k])
         if e < m:

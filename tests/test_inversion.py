@@ -68,6 +68,18 @@ def test_dataset_singular_corner():
         hv.build_m(data, 3)
 
 
+def test_b_side_singular_d0_refused_as_corner():
+    # delta = z^-1 has d0 = 0, the diagonal block of the b-side system
+    data = DataSet(
+        alpha=LaurentPoly.identity(1),
+        beta=LaurentPoly.single(1, [[0.5]]),
+        gamma=LaurentPoly.zero(1, 1),
+        delta=LaurentPoly.single(-1, [[1.0]]),
+    )
+    with pytest.raises(SingularCornerError, match="diagonal block"):
+        data.b_side
+
+
 @pytest.mark.parametrize("scale", [1e-310, 1e-320])
 def test_dataset_subnormal_corner(scale):
     # a 1x1 or scaled identity corner has cond 1 at any scale; below the

@@ -183,7 +183,8 @@ def test_random_fixture_invariants():
 # -- round trips -------------------------------------------------------------------------
 
 
-# m + 1 = 101 and 71 blocks run the triangular kernel past its first 64-block chunk
+# m + 1 = 101 blocks at k = 1 and 71 at k = 2 run the triangular kernel past its
+# first chunk (64 and 32 blocks)
 @pytest.mark.parametrize(
     "seed,p,q,m,t",
     [(0, 1, 1, 2, 0.3), (1, 3, 1, 4, 0.9), (2, 2, 2, 0, 0.6), (3, 1, 1, 100, 0.9), (4, 2, 2, 70, 0.9)],

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import hankelinv as hv
 from hankelinv import LaurentPoly
 from hankelinv.errors import ShapeError
+from hankelinv.series import CircleGrid
 
 from conftest import random_poly
 from support import lp_det_cofactor, plus_part
@@ -142,7 +143,7 @@ def test_mul_matches_reference_convolution(pair):
 @pytest.mark.parametrize("r,k,c", [(1, 1, 1), (3, 2, 3)])
 def test_mul_short_and_wide_operands(short, r, k, c):
     # a short operand against a 33-block one, in both operand orders, so
-    # that the shift-sum loops over either factor once
+    # that the shift-sum loop runs over a short and over a wide factor
     rng = np.random.default_rng(short)
     narrow = random_poly(rng, r, k, range(-3, short - 3))
     wide = random_poly(rng, k, c, range(5, 38))
@@ -280,6 +281,38 @@ def test_eval_homomorphism(rng):
     for _ in range(20):
         z = np.exp(2j * np.pi * rng.random())
         assert np.allclose(value_at(f * g, z), value_at(f, z) @ value_at(g, z), atol=1e-12)
+
+
+# f's degrees, g's degrees, and the first degree and length of the window
+# read back from a 20-point grid
+GRID_WINDOWS = [
+    ((0, 4), (-3, -2), -6, 10),  # starts below degree 0
+    ((10, 11, 16), (0, 5), 14, 10),  # crosses L: degrees 20..23 sit at 0..3
+    ((-2, 0, 3), (-4, 1, 2), -10, 20),  # spans all L points
+]
+
+
+@pytest.mark.parametrize("f_degs,g_degs,lo,count", GRID_WINDOWS)
+def test_grid_coeffs_match_block_convolution(rng, f_degs, g_degs, lo, count):
+    grid = CircleGrid(20)
+    assert grid.size == 20
+    f, g = random_poly(rng, 2, 3, f_degs), random_poly(rng, 3, 2, g_degs)
+    points = np.exp(-2j * np.pi * np.arange(grid.size) / grid.size)
+    values = np.array([value_at(f, z) @ value_at(g, z) for z in points])
+    supports = [(h.lo, h.coeff_run(h.lo, h.width()).any(axis=(1, 2))) for h in (f, g)]
+    got = grid.coeffs(values, lo, count, *supports)
+    assert got.shape == (count, 2, 2)
+    want = np.zeros_like(got)
+    for i in f.degrees():
+        for j in g.degrees():
+            if lo <= i + j < lo + count:
+                want[i + j - lo] += f.coeff(i) @ g.coeff(j)
+    sums = [i + j for i in f.degrees() for j in g.degrees()]
+    reached = np.isin(np.arange(lo, lo + count), sums)
+    assert reached.any() and not reached.all()
+    # degrees no pair of support degrees sums to come back exactly zero
+    assert not got[~reached].any()
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # -- determinant --------------------------------------------------------------

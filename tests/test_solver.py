@@ -12,7 +12,7 @@ from hankelinv.errors import (
     FactorizationUnavailableError,
     InjectivityError,
     ShapeError,
-    SingularBlockError,
+    SingularCornerError,
 )
 
 from conftest import random_poly
@@ -57,12 +57,16 @@ def _forward_substitution(blocks, rhs):
 
 def test_tri_block_vs_dense_lu(rng):
     # (k, m, decay of the off-diagonal blocks, spread of the diagonal block,
-    # imaginary weight); the chunks hold 64 blocks, so m = 63, 64, 65, 128,
-    # 129, 150 and 257 sit on either side of chunk boundaries.  Each system
-    # is redrawn until its condition number is at most TRI_COND_LIMIT, where
-    # the 1e-11 bar measures the kernel rather than the draw.
+    # imaginary weight); the chunks hold 64 scalar rows, that is 64, 32 and
+    # 21 blocks at k = 1, 2 and 3, so m = 63, 64, 65, 128 and 129 at k = 1,
+    # 32 and 33 at k = 2, and 21, 22, 42 and 43 at k = 3 sit on either side
+    # of chunk boundaries.  Each system is redrawn until its condition number
+    # is at most TRI_COND_LIMIT, where the 1e-11 bar measures the kernel
+    # rather than the draw.
     cases = [(3, 4, 1.0, 0.3, 1j), (2, 150, 0.7, 0.3, 1j), (3, 257, 0.7, 0.2, 0)]
     cases += [(k, m, 0.3, 0.3, 1j) for m in (63, 64, 65, 128, 129) for k in (1, 3)]
+    cases += [(2, m, 0.3, 0.3, 1j) for m in (32, 33)]
+    cases += [(3, m, 0.3, 0.3, 1j) for m in (21, 22, 42, 43)]
     for k, m, decay, spread, imag in cases:
         for _ in range(20):
             blocks = np.empty((m, k, k), dtype=complex)
@@ -118,7 +122,7 @@ def test_tri_long_scalar_vs_dense(rng):
 
 
 def test_tri_singular_diagonal():
-    with pytest.raises(SingularBlockError):
+    with pytest.raises(SingularCornerError):
         hv.tri_toeplitz_solve(np.zeros((1, 2, 2)), np.eye(2)[None])
 
 
