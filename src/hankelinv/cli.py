@@ -74,6 +74,9 @@ def cmd_synthesize(args) -> int:
         if None in (args.p, args.q, args.m, args.norm):
             _err("--random needs --p, --q, --m and --norm")
             return EXIT_PARSE
+        if not 0 <= args.seed < 2**64:  # the file records the seed as a 64-bit integer
+            _err(f"--seed must be an integer in 0 .. 2**64 - 1, got {args.seed}")
+            return EXIT_PARSE
         try:
             fx = oracle.random_fixture(args.p, args.q, args.m, args.norm, args.seed)
         except ValueError as exc:

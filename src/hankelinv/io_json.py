@@ -2,17 +2,17 @@
 
 Complex entries are encoded as [re, im] pairs and coefficient lists are
 degree-indexed sparse arrays ``{"deg": k, "mat": [[..]]}`` so that
-negative-degree support reads naturally.  Numbers are written as the
-shortest repr that reads back to the same double, so a round trip is
-bit-exact; non-finite numbers are written as ``null``.
+negative-degree support reads naturally.  The codec is orjson: every
+number is written as the shortest digits that read back to the same
+double, in orjson's spelling (``0.00001``, ``1e-7``), so a round trip is
+bit-exact; non-finite numbers are written as ``null``, and separators are
+compact (no spaces).
 """
 
 from __future__ import annotations
 
-import json
-import math
-
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .inversion import DataSet
@@ -26,13 +26,16 @@ from .series import LaurentPoly
 # come from the header and the degrees, before anything is allocated.
 _MAX_DENSE_ENTRIES = 2**20
 
+# numpy scalars as numbers, NaN and +-inf as null, any dict key as a string
+_DUMP_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_NON_STR_KEYS
+
 
 # -- low-level writer ---------------------------------------------------------
 
 
 def dumps(obj) -> str:
     """Serialize as strict JSON (bit-exact round trip of every finite number)."""
-    return json.dumps(_jsonable(obj), allow_nan=False)
+    return orjson.dumps(obj, default=_jsonable, option=_DUMP_OPTIONS).decode()
 
 
 def write_json(path, obj):
@@ -43,9 +46,9 @@ def write_json(path, obj):
 
 def read_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int
+        with open(path, "rb") as fh:
+            return orjson.loads(fh.read())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or number
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -205,22 +208,14 @@ def problem_from_json(obj):
 
 
 def _jsonable(value):
-    """A copy of ``value`` made of JSON types, non-finite floats as None."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
+    """A symbol as its coefficient list: the one type orjson cannot write itself."""
     if isinstance(value, LaurentPoly):
         return poly_to_json(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def solve_report_to_json(report) -> dict:
-    """The report's fields for ``dumps``, which converts g and details in one walk."""
+    """The report's fields for ``dumps``, which writes g through ``poly_to_json``."""
     return {
         "method": report.method,
         "g": report.g,

@@ -1,7 +1,9 @@
 """Command-line front end: files, reports and exit codes."""
 
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import hankelinv as hv
 from hankelinv import LaurentPoly, cli, diagnostics, io_json, series, structured
@@ -87,6 +90,19 @@ def test_synthesize_random_bad_dimensions(tmp_path, capsys, dims):
     assert cli.main(argv + ["--norm", "0.5", str(out)]) == 2
     assert "p, q >= 1 and m >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "100000000000000000000"])
+def test_synthesize_random_seed_out_of_range(tmp_path, capsys, seed):
+    # the file records the seed as a JSON integer, which holds 0 .. 2**64 - 1
+    out = tmp_path / "seed.json"
+    argv = ["synthesize", "--random", "--p", "1", "--q", "1", "--m", "2", "--norm", "0.5"]
+    assert cli.main(argv + ["--seed", seed, str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --seed"), err
+    assert not out.exists()
+    assert cli.main(argv + ["--seed", str(2**64 - 1), str(out)]) == 0
+    assert io_json.problem_from_json(io_json.read_json(out))[2]["seed"] == 2**64 - 1
 
 
 # -- solve ---------------------------------------------------------------------
@@ -555,6 +571,33 @@ def test_round_trip_small_coefficient(tmp_path):
     assert io_json.poly_to_json(back) == io_json.poly_to_json(g)
 
 
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+finite_doubles = st.one_of(
+    st.sampled_from(EDGE_DOUBLES),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+).filter(math.isfinite)
+
+
+@given(st.lists(finite_doubles, min_size=2, max_size=16).filter(lambda v: len(v) % 2 == 0))
+@example(EDGE_DOUBLES + [-x for x in EDGE_DOUBLES[2:]] + [1e-05, 0.1])
+def test_round_trip_any_finite_double(tmp_path_factory, values):
+    # a leading 1 keeps the block stored when every drawn value is a zero;
+    # the symbol is written by write_json and, as benchmark problem files
+    # are, by the stdlib encoder, and both read back bit for bit
+    row = np.array([1.0, 0.0] + values).view(complex).reshape(1, 1, -1)
+    g = LaurentPoly.from_run(0, row)
+    path = tmp_path_factory.mktemp("doubles") / "g.json"
+
+    def stdlib_dump(path, obj):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, allow_nan=False)
+
+    for write in (io_json.write_json, stdlib_dump):
+        write(path, io_json.poly_to_json(g))
+        back = io_json.poly_from_json(io_json.read_json(path))
+        assert back.coeff_run(0, 1).view(np.uint64).tolist() == row.view(np.uint64).tolist()
+
+
 def test_round_trip_report(tmp_path, problem_file, capsys):
     cli.main(["solve", problem_file, "--method", "truncated"])
     doc = json.loads(capsys.readouterr().out)
@@ -563,7 +606,7 @@ def test_round_trip_report(tmp_path, problem_file, capsys):
     assert io_json.read_json(path) == doc
 
 
-def test_problem_file_schema_validation(tmp_path, problem_file):
+def test_problem_file_schema_validation(tmp_path, problem_file, capsys):
     cases = [
         {},  # missing everything
         {"p": 1, "q": 1, "m": 0, "alpha": [], "beta": [], "gamma": []},  # no delta
@@ -576,8 +619,8 @@ def test_problem_file_schema_validation(tmp_path, problem_file):
         cases.append({"p": 1, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": [[entry]]}],
                       "beta": [], "gamma": [], "delta": []})
     # malformed matrices: a pair of one number, a pair nested one level
-    # deeper, NaN and Infinity tokens (json.load reads them as floats), a
-    # matrix that is a number or an object, and a 2x2 row one pair short
+    # deeper, NaN and Infinity tokens (which the decoder refuses), a matrix
+    # that is a number or an object, and a 2x2 row one pair short
     for mat in ([[[0.5]]], [[[[0.5], [0]]]], [[[float("nan"), 0]]], [[[0, float("inf")]]],
                 0.5, {"re": 0.5}):
         cases.append({"p": 1, "q": 1, "m": 0, "alpha": [{"deg": 0, "mat": mat}],
@@ -591,10 +634,20 @@ def test_problem_file_schema_validation(tmp_path, problem_file):
     for key, value in (("p", True), ("q", "1"), ("m", 1.9), ("p", 1.0)):
         cases.append(dict(trivial, **{key: value}))
     cases.append(dict(trivial, alpha=[{"deg": False, "mat": [[[1, 0]]]}]))
-    for i, case in enumerate(cases):
+    # integers past 64 bits, which the decoder reads as floats
+    cases.append(dict(trivial, m=2**64))
+    cases.append(dict(trivial, alpha=[{"deg": 99999999999999999999, "mat": [[[1, 0]]]}]))
+    docs = [json.dumps(case).encode() for case in cases]
+    # decoder edges: a UTF-8 byte order mark, a byte that is not UTF-8 and a
+    # lone surrogate escape, each in an otherwise solvable file
+    text = json.dumps(dict(trivial, metadata={"note": "@"})).encode()
+    docs += [b"\xef\xbb\xbf" + text, text.replace(b"@", b"\xff"), text.replace(b"@", b"\\ud800")]
+    for i, doc in enumerate(docs):
         path = tmp_path / f"case{i}.json"
-        path.write_text(json.dumps(case))
-        assert cli.main(["solve", str(path)]) == 2, case
+        path.write_bytes(doc)
+        assert cli.main(["solve", str(path)]) == 2, doc
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (doc, err)
     # symbol files that read as g = z/2, which solves problem_file, when a
     # boolean or a string is taken for an integer
     good = {"rows": 1, "cols": 1, "coeffs": [{"deg": 1, "mat": [[[0.5, 0.0]]]}]}
