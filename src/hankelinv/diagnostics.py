@@ -27,8 +27,9 @@ radius r.  The coefficients are scaled to largest modulus 1 first and
 every 8 steps, and each step runs in place on one buffer.  Each
 determinant is taken of its symbol times the power of two that puts the
 largest entry in [0.5, 1), so it cannot overflow, and is deflated
-against DEFLATION_TOL in the units of the data.  det(delta) is read in
-mu = 1/z, which maps its zeros inside the disk to zeros of mu outside it.
+against DEFLATION_TOL relative to that normalised symbol, so the verdicts
+do not depend on the scale of the data.  det(delta) is read in mu = 1/z,
+which maps its zeros inside the disk to zeros of mu outside it.
 """
 
 from __future__ import annotations
@@ -158,18 +159,18 @@ def _reflection_margin(c, r):
     return margin
 
 
-def _zeros_outside_entry(name, coeffs, tol):
+def _zeros_outside_entry(name, coeffs):
     """Verdict on the zeros of sum_j coeffs[j] z**j lying outside |z| = 1.
 
-    Leading coefficients below ``tol`` are dropped first (zeros at
-    infinity).  With band = CIRCLE_BAND: ``pass`` when the recursion at
+    Leading coefficients below ``DEFLATION_TOL`` are dropped first (zeros
+    at infinity).  With band = CIRCLE_BAND: ``pass`` when the recursion at
     radius 1 + band keeps every |k| < 1, so every zero has |z| > 1 + band;
     ``fail`` when at radius 1 - band it meets a |k| > 1, so some zero has
     |z| < 1 - band; ``inconclusive`` otherwise.  The value is minus the
     margin at radius 1 + band and the threshold is 0.
     """
     c = np.asarray(coeffs, dtype=complex)
-    while c.size and abs(c[-1]) < tol:
+    while c.size and abs(c[-1]) < DEFLATION_TOL:
         c = c[:-1]
     if c.size == 0:
         raise DegenerateError("determinant is identically zero")
@@ -203,21 +204,22 @@ def check_zero_locations(data: DataSet) -> CheckReport:
     |z| < 1, and so has a (Schur-Cohn; Lancaster and Tismenetsky, The
     Theory of Matrices, 2nd ed., 1985).  The zeros of a_j = c_j r**j are
     those of c divided by r, so the recursion at radius r tests |z| > r
-    for the zeros of c.  Leading coefficients below ``DEFLATION_TOL``, in
-    the units of the data, are dropped first (zeros at infinity).
+    for the zeros of c.  Leading coefficients of the normalised symbol's
+    determinant below ``DEFLATION_TOL`` are dropped first (zeros at
+    infinity), a tolerance relative to the symbol's largest entry.
     """
     runs = []
-    for side, sym, n in (("alpha", data.alpha, data.p), ("delta", data.delta, data.q)):
-        # sym 2**e has its largest entry in [0.5, 1): a finite det, same zeros.
-        # The caps keep 2**e and the tolerance finite; past them the whole
-        # det lies far below DEFLATION_TOL in the units of the data
+    for side, sym in (("alpha", data.alpha), ("delta", data.delta)):
+        # sym 2**e has its largest entry in [0.5, 1): a finite det, same
+        # zeros, deflated against DEFLATION_TOL relative to that scale.  The
+        # cap keeps 2**e finite for symbols below the normal double range
         e = min(-int(np.frexp(sym.sup_norm())[1]), 1000)
         det = (sym * 2.0**e).det()
         if det.is_zero:
             raise DegenerateError(f"det({side}) is identically zero")
         c = det.coeff_run(0, det.hi + 1) if side == "alpha" else det.coeff_run(det.lo, 1 - det.lo)[::-1]
-        runs.append((f"{side}_det_zeros", c[:, 0, 0], DEFLATION_TOL * 2.0 ** min(e * n, 1000)))
-    return CheckReport([_zeros_outside_entry(name, c, tol) for name, c, tol in runs])
+        runs.append((f"{side}_det_zeros", c[:, 0, 0]))
+    return CheckReport([_zeros_outside_entry(name, c) for name, c in runs])
 
 
 # -- contraction -------------------------------------------------------------

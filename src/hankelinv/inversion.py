@@ -9,9 +9,11 @@ windows, P = T+(R), Hp = H+(R/z), Hm = H-(z C') and Q = T-(C'):
     M = [[P, -Hp], [Hm, -Q]] diag(K, K) blockdiag(P, Q)*,
 
 with K = diag(a0^-1, -d0^-1) applied to each (p+q)-block of the inner
-index.  ``check_lemma_suite`` compares that window with the defining
-products, whose shift factors are explicit, and with the Hankel-product
-form of M.
+index.  ``build_m`` is the one assembly of M, and the only code that
+forms M12 and M21; ``diagonal_windows`` forms M11 = P K P* and
+M22 = -Q K Q* alone, from the same rows and K, for the truncated route.
+``check_lemma_suite`` compares M's window with the defining products,
+whose shift factors are explicit, and with the Hankel-product form of M.
 
 ``DataSet.x_run`` holds the block rows A = [alpha beta] (degrees 0..m) and
 C = [gamma delta] (degrees -m..0) of X = [[alpha, beta], [gamma, delta]];
@@ -208,24 +210,38 @@ def _scaled(w: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (w.reshape(-1, k.shape[0]) @ k).reshape(w.shape)
 
 
-def _assemble(data: DataSet, N: int):
-    """M's window, K and the stacked windows x = [P; Hm] and y = [Hp; Q].
-
-    R = [alpha, z beta] (degrees 0..m+1) and C' = [gamma/z, delta]
-    (degrees -m-1..0) are each one run, so the columns of every window come
-    in (p+q)-blocks, the first p columns from alpha or gamma.  M is
-    [x K P*, -y K Q*]; returns (m, k, x, y).
-    """
+def _rows(data: DataSet):
+    """K and the shifted rows R = [alpha, z beta] (degrees 0..m+1) and
+    C' = [gamma/z, delta] (degrees -m-1..0), each one run, so the columns of
+    every window of them come in (p+q)-blocks, the first p columns from
+    alpha or gamma."""
     a0inv, d0inv = data.corner_inverses
     p, q, n = data.p, data.q, data.extent()
     k = np.block([[a0inv, np.zeros((p, q))], [np.zeros((q, p)), -d0inv]])
     r = np.concatenate([data.alpha.coeff_run(0, n + 1), data.beta.coeff_run(-1, n + 1)], 2)
     c = np.concatenate([data.gamma.coeff_run(1 - n, n + 1), data.delta.coeff_run(-n, n + 1)], 2)
-    r, c = LaurentPoly.from_run(0, r), LaurentPoly.from_run(-n, c)
+    return k, LaurentPoly.from_run(0, r), LaurentPoly.from_run(-n, c)
+
+
+def _assemble(data: DataSet, N: int):
+    """M's window, K and the stacked windows x = [P; Hm] and y = [Hp; Q].
+
+    M is [x K P*, -y K Q*]; returns (m, k, x, y).
+    """
+    k, r, c = _rows(data)
+    n = N * data.p
     x = np.vstack([build(OpKind.TOEPLITZ_PLUS, r, N), build(OpKind.HANKEL_MINUS, c.shifted(1), N)])
     y = np.vstack([build(OpKind.HANKEL_PLUS, r.shifted(-1), N), build(OpKind.TOEPLITZ_MINUS, c, N)])
-    m = np.hstack([_scaled(x, k) @ x[: N * p].conj().T, _scaled(y, -k) @ y[N * p :].conj().T])
+    m = np.hstack([_scaled(x, k) @ x[:n].conj().T, _scaled(y, -k) @ y[n:].conj().T])
     return m, k, x, y
+
+
+def diagonal_windows(data: DataSet, n_blocks: int):
+    """The windows (M11, M22) = (P K P*, -Q K Q*) of M's diagonal blocks,
+    from the two Toeplitz windows alone; M12 and M21 are left unformed."""
+    k, r, c = _rows(data)
+    P, Q = build(OpKind.TOEPLITZ_PLUS, r, n_blocks), build(OpKind.TOEPLITZ_MINUS, c, n_blocks)
+    return _scaled(P, k) @ P.conj().T, _scaled(Q, -k) @ Q.conj().T
 
 
 def build_m(data: DataSet, n_blocks: int) -> np.ndarray:

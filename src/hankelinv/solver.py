@@ -29,7 +29,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import DataIdentityError, FactorizationUnavailableError, InjectivityError
-from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, build_m
+from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet, diagonal_windows
 from .series import LaurentPoly, poly_gap
 from .structured import tri_toeplitz_solve  # noqa: F401  benchmark/tracer.py patches it by this name
 
@@ -108,26 +108,6 @@ def solve_polynomial(data: DataSet, tol: float = DEFAULT_TOL) -> SolveReport:
 # -- truncated operator route --------------------------------------------------
 
 
-def _hankel_window_stats(mat, p, q, n_blocks):
-    """Mean diagonal blocks and the spread around them for a window matrix.
-
-    In window coordinates the Hankel operator is constant along diagonals;
-    returns (run, defect), where run[k] is the mean of the diagonal i - j =
-    k - (N - 1), from the bottom-left corner block to the top-right one.
-    """
-    N = n_blocks
-    view = mat.reshape(N, p, N, q).transpose(0, 2, 1, 3)  # view[i, j] is block (i, j)
-    # block (i, j) lies on run index k = i - j + N - 1: row i of the window,
-    # reversed, starts at run index i.  Rows of 2N + 1 blocks read as rows
-    # of 2N skew row i by i places, and a sum down the rows is the run.
-    skew = np.zeros((N, 2 * N + 1, p, q), dtype=complex)
-    skew[:, :N] = view[:, ::-1]
-    run = skew.reshape(-1, p, q)[: 2 * N * N].reshape(N, 2 * N, p, q)[:, : 2 * N - 1].sum(axis=0)
-    run /= (N - np.abs(np.arange(1 - N, N)))[:, None, None]
-    i = np.arange(N)
-    return run, float(np.max(np.abs(view - run[i[:, None] - i + N - 1])))
-
-
 def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TOL) -> SolveReport:
     """Window solve of M11 x = b and M22 y = c.
 
@@ -139,8 +119,7 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
       projection P_N therefore satisfies P_N T T* P_N = (P_N T P_N)(P_N T*
       P_N), so the N-block window of M11 is exactly the compression of M11,
       for every N.  M22, built from the upper triangular T-(delta) and
-      T-(gamma / z), is exact in the same way, and so is M12, a Hankel
-      window times the adjoint of such an upper triangular factor.
+      T-(gamma / z), is exact in the same way.
     * For polynomial data of degree m, g has degree <= m, so the solution
       column x = -(g_0, g_1, ...) lies in the first m+1 blocks, and the
       window system restricted to them is the full system.
@@ -160,17 +139,15 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     value only at second order.  For solvable data the M11 window is a
     compression of (I - H H*)^-1 >= I, so its smallest singular value is
     >= 1 up to rounding, and M22 likewise.  The report also carries the
-    gap between the two columns and the Hankel-structure defect of
-    -M11^-1 M12.
+    gap between the g of the two solves.  Only M's two diagonal windows
+    are formed (``diagonal_windows``): g needs neither M12 nor M21.
     """
     id_res, flags = _identity_gate(data, tol)
     m = data.m
     N = data.extent() if n_blocks is None else int(n_blocks)
     p, q = data.p, data.q
 
-    big = build_m(data, N)
-    n = N * p
-    m11, m12, m22 = big[:n, :n], big[:n, n:], big[n:, n:]
+    m11, m22 = diagonal_windows(data, N)
     s11, s22 = (float(np.abs(np.linalg.eigvalsh(0.5 * (w + w.conj().T))).min()) for w in (m11, m22))
     for name, sval, dim in (("M11", s11, N * p), ("M22", s22, N * q)):
         if sval <= tol * dim:
@@ -181,9 +158,7 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
                 which=name,
             )
 
-    # one M11 solve for the beta window and M12 side by side
-    sol = np.linalg.solve(m11, np.hstack([data.beta.coeff_run(0, N).reshape(n, q), m12]))
-    x, hmat = sol[:, :q], -sol[:, q:]
+    x = np.linalg.solve(m11, data.beta.coeff_run(0, N).reshape(N * p, q))
     g_run = -x.reshape(N, p, q)
     tail = float(np.abs(g_run[m + 1 :]).max(initial=0.0))
     g = LaurentPoly.from_run(0, g_run)
@@ -191,9 +166,6 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
     # y block w is the adjoint of the coefficient of degree N - 1 - w
     y = np.linalg.solve(m22, data.gamma.coeff_run(1 - N, N).reshape(N * q, p))
     g2 = LaurentPoly.from_run(0, (-y.reshape(N, q, p)[::-1]).conj().transpose(0, 2, 1))
-
-    hrun, hdefect = _hankel_window_stats(hmat, p, q, N)
-    g3 = LaurentPoly.from_run(0, hrun)
 
     # data coefficients at |degree| >= N, all of which lie within m of 0
     count = max(m + 1 - N, 0)
@@ -206,8 +178,6 @@ def solve_truncated(data: DataSet, n_blocks: int = None, tol: float = DEFAULT_TO
 
     details = {
         "column_gap": poly_gap(g, g2),
-        "hankel_structure_defect": hdefect,
-        "hankel_column_gap": poly_gap(g, g3),
         "sigma_min_m11": s11,
         "sigma_min_m22": s22,
         "injectivity_threshold": (tol * N * p, tol * N * q),

@@ -6,6 +6,7 @@ import pytest
 import hankelinv as hv
 from hankelinv import DataSet, LaurentPoly
 from hankelinv.errors import ShapeError, SingularCornerError
+from hankelinv.inversion import diagonal_windows
 
 from conftest import random_poly
 from support import build_m_eight_windows, corner_solve_data, trivial_data
@@ -152,6 +153,25 @@ def test_build_m_matches_eight_window_reference(rng, p, q):
         for N in (1, m, m + 1, 2 * m + 5):
             ref = build_m_eight_windows(data, N)
             assert np.max(np.abs(hv.build_m(data, N) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (3, 2)])
+def test_diagonal_windows_match_build_m(rng, p, q):
+    # M11 and M22 formed alone are build_m's diagonal blocks, on synthesized
+    # data and on symbols that satisfy no identity
+    m = 3
+    free = DataSet(
+        alpha=random_poly(rng, p, p, range(0, m + 1)),
+        beta=random_poly(rng, p, q, range(0, m + 1)),
+        gamma=random_poly(rng, q, p, range(-m, 1)),
+        delta=random_poly(rng, q, q, range(-m, 1)),
+    )
+    for data in (hv.random_fixture(p, q, m, 0.8, rng_seed=p + q).data, free):
+        for N in (1, m, m + 1, 4 * m + 4):
+            big, n = hv.build_m(data, N), N * p
+            for got, want in zip(diagonal_windows(data, N), (big[:n, :n], big[n:, n:])):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (N, got.shape)
 
 
 @pytest.mark.parametrize("p,q,N", [(1, 1, 3), (2, 1, 4), (2, 3, 9)])

@@ -162,3 +162,18 @@ def test_verdict_does_not_depend_on_scale(side):
             assert [np.sign(_reflection_margin(scale * c, r)) for r in RADII] == signs, scale
             got = _verdicts(_scalar_data(side, scale * c))[f"{side}_det_zeros"]
             assert got == verdict, (scale, got)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+def test_scaled_data_get_the_unscaled_entries(scale):
+    # the deflation tolerance is relative to the normalised symbol, so
+    # scaling all four symbols moves no zero and changes no entry
+    data = hv.random_fixture(2, 2, 6, 0.9, 1).data
+    scaled = DataSet(*(scale * sym for sym in (data.alpha, data.beta, data.gamma, data.delta)))
+    want = hv.check_zero_locations(data).entries
+    got = hv.check_zero_locations(scaled).entries
+    assert [(e.name, e.verdict, e.threshold) for e in got] == [
+        (e.name, e.verdict, e.threshold) for e in want
+    ]
+    for e, ref in zip(got, want):
+        assert abs(e.value - ref.value) <= 1e-12 * abs(ref.value), (e, ref)
