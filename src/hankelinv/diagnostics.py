@@ -244,12 +244,13 @@ def _posdef_entry(name, mat):
     herm = 0.5 * (mat + mat.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     lam_min = float(eigs[0])
-    scale = max(float(np.linalg.norm(mat, 2)), 1e-300)
+    # relative to ||mat||, but never below the normal range check_corner demands
+    floor = max(POSDEF_REL_TOL * float(np.linalg.norm(mat, 2)), np.finfo(float).tiny)
     return CheckEntry(
         name,
         -lam_min,
-        -POSDEF_REL_TOL * scale,
-        "pass" if lam_min > POSDEF_REL_TOL * scale else "fail",
+        -floor,
+        "pass" if lam_min > floor else "fail",
     )
 
 

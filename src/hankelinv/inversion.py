@@ -42,9 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeError, SingularCornerError
+from .errors import ShapeError
 from .series import CircleGrid, LaurentPoly
-from .structured import CORNER_COND_LIMIT, OpKind, build, tri_toeplitz_solve
+from .structured import OpKind, build, check_corner, tri_toeplitz_solve
 
 DEFAULT_TOL = 1e-10
 IDENTITY_NAMES = ("identity_a", "identity_d", "identity_cross")
@@ -113,20 +113,9 @@ class DataSet:
 
     @cached_property
     def corner_inverses(self):
-        """(a0^-1, d0^-1), computed once; raises when either corner is
-        near-singular or has no entry of normal double magnitude."""
-        for name, mat in (("a0", self.a0), ("d0", self.d0)):
-            if np.linalg.cond(mat) > CORNER_COND_LIMIT:
-                raise SingularCornerError(
-                    f"corner matrix {name} is numerically singular "
-                    f"(cond > {CORNER_COND_LIMIT:.0e})"
-                )
-            # cond is scale-free: a 1x1 corner of 1e-310 has cond 1
-            if np.abs(mat).max() < np.finfo(float).tiny:
-                raise SingularCornerError(
-                    f"corner matrix {name} is numerically singular "
-                    f"(largest entry below {np.finfo(float).tiny:.1e})"
-                )
+        """(a0^-1, d0^-1), computed once; ``check_corner`` refuses a singular corner."""
+        check_corner(self.a0, "corner matrix a0")
+        check_corner(self.d0, "corner matrix d0")
         inverses = np.linalg.inv(self.a0), np.linalg.inv(self.d0)
         for mat in inverses:
             mat.flags.writeable = False

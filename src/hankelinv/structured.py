@@ -8,9 +8,9 @@ ranges differ between the kinds.  In window coordinates the minus index j
 maps to column position j + N - 1.
 
 ``tri_toeplitz_solve`` is the package's one structured kernel: an O(m^2)
-chunked solver for lower triangular block Toeplitz systems of any block
-size, on (n, k, k) and (m, k, r) block arrays, whose chunk matrices are
-windows of the same strided builder.
+chunked solver for lower triangular block Toeplitz systems on block arrays,
+whose chunks are windows of the same strided builder; ``check_corner``, the
+one singular-block rule, refuses its diagonal block as it refuses a0 and d0.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from .errors import ShapeError, SingularCornerError
 
 CORNER_COND_LIMIT = 1e12
 _CHUNK_ROWS = 64
+
+
+def check_corner(mat, what):
+    """Refuse a block with cond > CORNER_COND_LIMIT or, cond being scale-free, no normal-range entry."""
+    if np.linalg.cond(mat) > CORNER_COND_LIMIT:
+        raise SingularCornerError(f"{what} is numerically singular (cond > {CORNER_COND_LIMIT:.0e})")
+    if np.abs(mat).max() < (tiny := np.finfo(float).tiny):
+        raise SingularCornerError(f"{what} is numerically singular (largest entry below {tiny:.1e})")
 
 
 class OpKind(enum.Enum):
@@ -63,8 +71,8 @@ def tri_toeplitz_solve(t, b):
     ----------
     t : (n, k, k) array
         ``t[j]`` is the block on the j-th block subdiagonal, so ``t`` is
-        the first block column; ``t[0]`` must be invertible and blocks
-        past ``n - 1`` are zero.
+        the first block column; ``t[0]`` must be invertible by
+        ``check_corner``'s rule and blocks past ``n - 1`` are zero.
     b : (m, k, r) array
         Right-hand side block column; ``m`` sets the system size.
 
@@ -90,8 +98,7 @@ def tri_toeplitz_solve(t, b):
         raise ShapeError(f"right-hand side blocks must have {k} rows")
     if m == 0:
         return np.zeros((0, k, r), dtype=complex)
-    if np.linalg.cond(t[0]) > CORNER_COND_LIMIT:
-        raise SingularCornerError("diagonal block of the triangular system is singular")
+    check_corner(t[0], "diagonal block of the triangular system")
 
     T = np.zeros((m, k, k), dtype=complex)
     T[: min(m, n)] = t[:m]

@@ -249,6 +249,30 @@ def test_check_below_double_range_exits_cleanly(tmp_path, capsys):
     verdicts = {e["name"]: e["verdict"] for e in json.loads(captured.out)["entries"]}
     assert verdicts["alpha_det_zeros"] == "fail"
     assert verdicts["delta_det_zeros"] == "pass"
+    # a0 = 1e-310 is below the normal-range floor of the positivity entry
+    assert verdicts["a0_positive"] == "fail"
+
+
+def test_check_subnormal_d0_fails(tmp_path, capsys):
+    # alpha = 1, beta = gamma = 0, delta = 1e-310: d0 is below the normal
+    # range that every solver's corner gate demands, so check fails it too
+    # instead of passing the data without a hankel_norm entry
+    one, zero = LaurentPoly.identity(1), LaurentPoly.zero(1, 1)
+    data = hv.DataSet(one, zero, zero, LaurentPoly.constant([[1e-310]]))
+    path = tmp_path / "d0tiny.json"
+    io_json.write_json(path, io_json.problem_to_json(data))
+    assert cli.main(["check", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    entries = {e["name"]: e for e in json.loads(captured.out)["entries"]}
+    assert entries["d0_positive"]["verdict"] == "fail"
+    assert entries["d0_positive"]["threshold"] == -np.finfo(float).tiny
+    assert entries["a0_positive"]["verdict"] == "pass"
+    assert "hankel_norm" not in entries
+    assert cli.main(["solve", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        "error: corner matrix d0 is numerically singular (largest entry below 2.2e-308)\n"
+    )
 
 
 @pytest.mark.parametrize("method", ["poly", "truncated", "factorization", "all"])

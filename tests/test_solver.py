@@ -124,6 +124,10 @@ def test_tri_long_scalar_vs_dense(rng):
 def test_tri_singular_diagonal():
     with pytest.raises(SingularCornerError):
         hv.tri_toeplitz_solve(np.zeros((1, 2, 2)), np.eye(2)[None])
+    # a subnormal 1x1 diagonal block has cond 1 but is refused as the
+    # corners a0 and d0 are, not solved into NaN
+    with pytest.raises(SingularCornerError, match="largest entry below"):
+        hv.tri_toeplitz_solve([[[1e-310]]], [[[1.0]]])
 
 
 def test_tri_scaling_certificate(rng):
