@@ -4,7 +4,8 @@ Commands read problem/symbol JSON files, dispatch the library and write
 machine-readable reports to stdout; diagnostics go to stderr.  Exit codes:
 
 * 0 - success / all checks pass
-* 2 - file missing or malformed, or an input too large to allocate
+* 2 - file missing or malformed, an output file that cannot be written,
+  or an input too large to allocate
 * 3 - synthesis failure
 * 4 - solve refused (data identities, injectivity, singular corner)
 * 5 - a check or verification failed
@@ -56,12 +57,7 @@ def _emit(obj):
 
 
 def _check_exit(report) -> int:
-    overall = report.overall()
-    if overall == "fail":
-        return EXIT_FAIL
-    if overall == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return {"fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}.get(report.overall(), EXIT_OK)
 
 
 def _load_symbol(path):
@@ -82,20 +78,13 @@ def cmd_synthesize(args) -> int:
         except ValueError as exc:
             _err(str(exc))
             return EXIT_PARSE
-        except SynthesisError as exc:
-            _err(str(exc))
-            return EXIT_SYNTHESIS
         metadata = {"seed": args.seed, "provenance": fx.note}
     else:
         if args.g_file is None:
             _err("either a symbol file or --random is required")
             return EXIT_PARSE
         g = _load_symbol(args.g_file)
-        try:
-            fx = oracle.synthesize_data(g, note=f"synthesized from {args.g_file}")
-        except SynthesisError as exc:
-            _err(str(exc))
-            return EXIT_SYNTHESIS
+        fx = oracle.synthesize_data(g, note=f"synthesized from {args.g_file}")
         metadata = {"provenance": fx.note}
     doc = io_json.problem_to_json(fx.data, g=fx.g, metadata=metadata)
     io_json.write_json(args.out_file, doc)
@@ -113,7 +102,7 @@ def cmd_solve(args) -> int:
         if args.method == "all":
             reports, gap, notes = solver.solve_all(data, n_blocks=args.order, tol=args.tol)
             doc = {
-                "methods": {k: io_json.solve_report_to_json(r) for k, r in reports.items()},
+                "methods": reports,
                 "cross_method_gap": gap,
                 "notes": notes,
             }
@@ -127,8 +116,7 @@ def cmd_solve(args) -> int:
                 "factorization": solver.solve_factorization,
             }[args.method]
             report = fn(data, tol=args.tol)
-            doc = io_json.solve_report_to_json(report)
-            accepted = report.accepted
+            doc, accepted = report, report.accepted
     except _REFUSAL_ERRORS as exc:
         _err(str(exc))
         _emit({"refused": True, "reason": str(exc)})
@@ -164,11 +152,7 @@ def cmd_verify(args) -> int:
 
 def cmd_invert(args) -> int:
     g = _load_symbol(args.g_file)
-    try:
-        fx = oracle.synthesize_data(g)
-    except SynthesisError as exc:
-        _err(str(exc))
-        return EXIT_SYNTHESIS
+    fx = oracle.synthesize_data(g)
     n = fx.data.extent() if args.order is None else args.order
     suite = check_lemma_suite(fx.data, n, tol=args.tol)
     margin = inverse_margin(fx.data, g, n)
@@ -268,6 +252,9 @@ def main(argv=None) -> int:
     except (ParseError, ShapeError) as exc:
         _err(str(exc))
         return EXIT_PARSE
+    except SynthesisError as exc:  # raised before any file is written
+        _err(str(exc))
+        return EXIT_SYNTHESIS
     except MemoryError as exc:  # a window too large, e.g. --order 1000000
         _err(f"out of memory: {exc}")
         return EXIT_PARSE

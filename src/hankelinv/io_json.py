@@ -6,7 +6,8 @@ negative-degree support reads naturally.  The codec is orjson: every
 number is written as the shortest digits that read back to the same
 double, in orjson's spelling (``0.00001``, ``1e-7``), so a round trip is
 bit-exact; non-finite numbers are written as ``null``, and separators are
-compact (no spaces).
+compact (no spaces).  Reports are written from their dataclasses, field
+by field in declaration order, so each report format is stated once.
 """
 
 from __future__ import annotations
@@ -39,9 +40,11 @@ def dumps(obj) -> str:
 
 
 def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(obj) + "\n")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def read_json(path):
@@ -208,37 +211,16 @@ def problem_from_json(obj):
 
 
 def _jsonable(value):
-    """A symbol as its coefficient list: the one type orjson cannot write itself."""
+    """A symbol as its coefficient list: the one type orjson cannot write itself.
+
+    A report dataclass (``SolveReport``, ``CheckEntry``) needs no case here:
+    orjson writes it field by field and calls this for its symbol ``g``.
+    """
     if isinstance(value, LaurentPoly):
         return poly_to_json(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def solve_report_to_json(report) -> dict:
-    """The report's fields for ``dumps``, which writes g through ``poly_to_json``."""
-    return {
-        "method": report.method,
-        "g": report.g,
-        "residual_identities": report.residual_identities,
-        "residual_inclusions": report.residual_inclusions,
-        "cross_method_gap": report.cross_method_gap,
-        "accepted": report.accepted,
-        "tol": report.tol,
-        "flags": report.flags,
-        "details": report.details,
-    }
-
-
 def check_report_to_json(report) -> dict:
-    return {
-        "overall": report.overall(),
-        "entries": [
-            {
-                "name": e.name,
-                "value": e.value,
-                "threshold": e.threshold,
-                "verdict": e.verdict,
-            }
-            for e in report.entries
-        ],
-    }
+    """The verdict, then the entries, which orjson writes as their dataclass."""
+    return {"overall": report.overall(), "entries": report.entries}

@@ -38,20 +38,21 @@ REFUSAL_FACTOR = 100.0
 
 @dataclass
 class SolveReport:
-    """Recovered symbol plus its residual ledger."""
+    """Recovered symbol plus its residual ledger; its fields in order are the report's keys."""
 
-    g: LaurentPoly
     method: str
+    g: LaurentPoly
     residual_identities: tuple
     residual_inclusions: tuple
     cross_method_gap: float = None
+    # set in __post_init__; a default keeps the key at this place in the report
+    accepted: bool = field(init=False, default_factory=bool)
     tol: float = DEFAULT_TOL
     flags: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    @property
-    def accepted(self) -> bool:
-        return all(r <= self.tol for r in self.residual_inclusions)
+    def __post_init__(self):
+        self.accepted = all(r <= self.tol for r in self.residual_inclusions)
 
 
 # -- shared gates -------------------------------------------------------------

@@ -105,6 +105,29 @@ def test_synthesize_random_seed_out_of_range(tmp_path, capsys, seed):
     assert io_json.problem_from_json(io_json.read_json(out))[2]["seed"] == 2**64 - 1
 
 
+def test_synthesize_random_refusal_writes_nothing(tmp_path, capsys):
+    # this draw near the norm-1 edge fails synthesis's own consistency checks
+    out = tmp_path / "edge.json"
+    argv = ["synthesize", "--random", "--p", "1", "--q", "1", "--m", "8",
+            "--norm", "0.9999", "--seed", "3", str(out)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: synthesized data failed its own consistency checks"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_synthesize_unwritable_output(tmp_path, capsys, target):
+    # a missing directory or a directory as the output file: one line, exit 2
+    argv = ["synthesize", "--random", "--p", "1", "--q", "1", "--m", "2", "--norm", "0.5"]
+    assert cli.main(argv + [str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write "), err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 # -- solve ---------------------------------------------------------------------
 
 
@@ -120,6 +143,31 @@ def test_solve_single_method(problem_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["accepted"]
     assert doc["g"]["coeffs"][0]["deg"] == 1
+
+
+_SOLVE_KEYS = ["method", "g", "residual_identities", "residual_inclusions",
+               "cross_method_gap", "accepted", "tol", "flags", "details"]
+
+
+def _keys(pairs):
+    return [k for k, _ in pairs]
+
+
+def test_report_key_order(problem_file, capsys):
+    # object_pairs_hook=list keeps every object as its (key, value) pairs in order
+    assert cli.main(["solve", problem_file, "--method", "poly"]) == 0
+    assert _keys(json.loads(capsys.readouterr().out, object_pairs_hook=list)) == _SOLVE_KEYS
+    assert cli.main(["solve", problem_file, "--method", "all"]) == 0
+    doc = json.loads(capsys.readouterr().out, object_pairs_hook=list)
+    assert _keys(doc) == ["methods", "cross_method_gap", "notes"]
+    assert _keys(doc[0][1]) == ["polynomial", "truncated", "factorization"]
+    assert all(_keys(report) == _SOLVE_KEYS for _, report in doc[0][1])
+    assert cli.main(["check", problem_file]) == 0
+    doc = json.loads(capsys.readouterr().out, object_pairs_hook=list)
+    assert _keys(doc) == ["overall", "entries"]
+    assert doc[1][1] and all(
+        _keys(e) == ["name", "value", "threshold", "verdict"] for e in doc[1][1]
+    )
 
 
 def test_solve_perturbed_refuses(problem_file, tmp_path, capsys):

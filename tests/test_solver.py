@@ -1,5 +1,7 @@
 """The three recovery routes and the triangular Toeplitz kernel."""
 
+import copy
+import pickle
 import time
 
 import numpy as np
@@ -414,8 +416,27 @@ def test_dual_phi_refuses_under_the_shared_gate():
 
 def test_report_with_nan_residual_not_accepted():
     # a NaN residual was not measured; a comparison with it is False in any position
-    rep = hv.SolveReport(LaurentPoly.zero(1, 1), "poly", (0.0, 0.0, 0.0), (0.0, float("nan"), 0.0, 0.0))
+    rep = hv.SolveReport(method="poly", g=LaurentPoly.zero(1, 1), residual_identities=(0.0, 0.0, 0.0),
+                         residual_inclusions=(0.0, float("nan"), 0.0, 0.0))
     assert rep.accepted is False
+    above = hv.SolveReport(method="poly", g=LaurentPoly.zero(1, 1), residual_identities=(0.0, 0.0, 0.0),
+                           residual_inclusions=(0.0, 2e-10, 0.0, 0.0), tol=1e-10)
+    assert above.accepted is False
+
+
+@pytest.mark.parametrize("accepted", [True, False])
+def test_report_survives_copy_and_pickle(accepted):
+    incl = (0.0, 1e-12, 0.0, 0.0 if accepted else 1.0)
+    rep = hv.SolveReport(method="poly", g=LaurentPoly.single(1, [[0.5]]), residual_identities=(0.0, 0.0, 0.0),
+                         residual_inclusions=incl, flags=["f"], details={"degree_bound": 1})
+    assert rep.accepted is accepted
+    copies = [copy.copy(rep), copy.deepcopy(rep)]
+    copies += [pickle.loads(pickle.dumps(rep, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+    for other in copies:
+        assert other.accepted is accepted
+        assert other.method == "poly" and other.residual_inclusions == incl
+        assert other.flags == ["f"] and other.details == {"degree_bound": 1}
+        assert hv.poly_gap(other.g, rep.g) == 0
 
 
 # -- cross-method properties ----------------------------------------------------------
