@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, ShapeError, SingularCornerError
+from .errors import ShapeError, SingularCornerError
 from .inversion import DEFAULT_TOL, IDENTITY_NAMES, DataSet
 from .series import CircleGrid, LaurentPoly
 from .structured import OpKind, build
@@ -163,17 +163,18 @@ def _zeros_outside_entry(name, coeffs):
     """Verdict on the zeros of sum_j coeffs[j] z**j lying outside |z| = 1.
 
     Leading coefficients below ``DEFLATION_TOL`` are dropped first (zeros
-    at infinity).  With band = CIRCLE_BAND: ``pass`` when the recursion at
-    radius 1 + band keeps every |k| < 1, so every zero has |z| > 1 + band;
-    ``fail`` when at radius 1 - band it meets a |k| > 1, so some zero has
-    |z| < 1 - band; ``inconclusive`` otherwise.  The value is minus the
-    margin at radius 1 + band and the threshold is 0.
+    at infinity); a polynomial left with none fails with value 1, what a
+    zero at the origin reads.  With band = CIRCLE_BAND: ``pass`` when the
+    recursion at radius 1 + band keeps every |k| < 1, so every zero has
+    |z| > 1 + band; ``fail`` when at radius 1 - band it meets a |k| > 1, so
+    some zero has |z| < 1 - band; ``inconclusive`` otherwise.  The value is
+    minus the margin at radius 1 + band and the threshold is 0.
     """
     c = np.asarray(coeffs, dtype=complex)
     while c.size and abs(c[-1]) < DEFLATION_TOL:
         c = c[:-1]
-    if c.size == 0:
-        raise DegenerateError("determinant is identically zero")
+    if c.size == 0:  # identically zero, or deflated to nothing
+        return CheckEntry(name, 1.0, 0.0, "fail")
     margin = _reflection_margin(c, 1.0 + CIRCLE_BAND)
     if margin > 0.0:
         return CheckEntry(name, -margin, 0.0, "pass")
@@ -204,22 +205,20 @@ def check_zero_locations(data: DataSet) -> CheckReport:
     |z| < 1, and so has a (Schur-Cohn; Lancaster and Tismenetsky, The
     Theory of Matrices, 2nd ed., 1985).  The zeros of a_j = c_j r**j are
     those of c divided by r, so the recursion at radius r tests |z| > r
-    for the zeros of c.  Leading coefficients of the normalised symbol's
-    determinant below ``DEFLATION_TOL`` are dropped first (zeros at
-    infinity), a tolerance relative to the symbol's largest entry.
+    for the zeros of c.  Each n x n determinant is read over all n(m+1)
+    degrees and deflated by ``_zeros_outside_entry``, whose DEFLATION_TOL
+    is here relative to the normalised symbol's largest entry.
     """
-    runs = []
+    entries = []
     for side, sym in (("alpha", data.alpha), ("delta", data.delta)):
         # sym 2**e has its largest entry in [0.5, 1): a finite det, same
         # zeros, deflated against DEFLATION_TOL relative to that scale.  The
         # cap keeps 2**e finite for symbols below the normal double range
         e = min(-int(np.frexp(sym.sup_norm())[1]), 1000)
-        det = (sym * 2.0**e).det()
-        if det.is_zero:
-            raise DegenerateError(f"det({side}) is identically zero")
-        c = det.coeff_run(0, det.hi + 1) if side == "alpha" else det.coeff_run(det.lo, 1 - det.lo)[::-1]
-        runs.append((f"{side}_det_zeros", c[:, 0, 0]))
-    return CheckReport([_zeros_outside_entry(name, c) for name, c in runs])
+        det, width = (sym * 2.0**e).det(), sym.rows * (data.m + 1)
+        c = det.coeff_run(0, width) if side == "alpha" else det.coeff_run(1 - width, width)[::-1]
+        entries.append(_zeros_outside_entry(f"{side}_det_zeros", c[:, 0, 0]))
+    return CheckReport(entries)
 
 
 # -- contraction -------------------------------------------------------------

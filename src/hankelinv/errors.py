@@ -31,10 +31,6 @@ class SynthesisError(RuntimeError):
     """Forward synthesis failed: the corner operator is singular."""
 
 
-class DegenerateError(ValueError):
-    """A determinant is identically zero; zero locations are undefined."""
-
-
 class FactorizationUnavailableError(ValueError):
     """Neither factorization path satisfies its zero-location precondition."""
 

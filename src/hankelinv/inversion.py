@@ -394,8 +394,7 @@ def identity_residual_triple(data: DataSet):
     mask = mask_a | mask_c
     jx = x.copy()
     jx[:, p:] *= -1
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads NaN; gates refuse it
-        res = grid.coeffs(x.conj().transpose(0, 2, 1) @ jx, -m, 2 * m + 1, (-m, mask[::-1]), (0, mask))
+    res = grid.coeffs(x.conj().transpose(0, 2, 1) @ jx, -m, 2 * m + 1, (-m, mask[::-1]), (0, mask))
     res[m, :p, :p] -= data.a0
     res[m, p:, p:] += data.d0
     peak = np.abs(res).max(axis=0)

@@ -323,6 +323,58 @@ def test_check_subnormal_d0_fails(tmp_path, capsys):
     )
 
 
+def _singular_alpha_file(tmp_path):
+    """p = 2, q = 1, m = 0: alpha = diag(1, 0), whose determinant is
+    identically zero, delta = 1 and beta = gamma = 0."""
+    path = tmp_path / "diag10.json"
+    path.write_text(json.dumps({
+        "p": 2, "q": 1, "m": 0,
+        "alpha": [{"deg": 0, "mat": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}], "beta": [],
+        "gamma": [], "delta": [{"deg": 0, "mat": [[[1, 0]]]}],
+    }))
+    return str(path)
+
+
+def test_check_identically_zero_determinant_writes_report(tmp_path, capsys):
+    # det(alpha) = 0 fails the zero gate like a zero at the origin, so check
+    # writes its whole report and exits 5 on it, with nothing on stderr
+    assert cli.main(["check", _singular_alpha_file(tmp_path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.err == ""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    entries = {e["name"]: e for e in json.loads(captured.out, parse_constant=reject)["entries"]}
+    assert entries["a0_positive"]["verdict"] == "fail"
+    assert (entries["alpha_det_zeros"]["verdict"], entries["alpha_det_zeros"]["value"]) == ("fail", 1.0)
+    assert entries["delta_det_zeros"]["verdict"] == "pass"
+
+
+def test_identically_zero_determinant_refused_by_corner_gate(tmp_path, capsys):
+    # the singular corner a0 = diag(1, 0) is refused before the factorization
+    # route reads any zero location
+    assert cli.main(["solve", _singular_alpha_file(tmp_path), "--method", "factorization"]) == 4
+    reason = "corner matrix a0 is numerically singular (cond > 1e+12)"
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"refused": True, "reason": reason}
+    assert captured.err == f"error: {reason}\n"
+
+
+def test_verify_overflow_keeps_warnings_off_stderr(tmp_path, capsys):
+    # alpha = 1e160 (1 - 2.5z + 0.66z^2) and g = 1e160: the inclusion products
+    # overflow to inf and NaN, which fail, and numpy's warnings stay silent
+    path = _big_scalar_file(tmp_path, "big160.json", 1e160, "alpha")
+    gpath = tmp_path / "g160.json"
+    io_json.write_json(gpath, io_json.poly_to_json(LaurentPoly.constant([[1e160]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", path, str(gpath)]) == 5
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["overall"] == "fail"
+    assert "RuntimeWarning" not in captured.err
+
+
 @pytest.mark.parametrize("method", ["poly", "truncated", "factorization", "all"])
 def test_solve_below_double_range_refused(tmp_path, capsys, method):
     # a0 = 1e-310 is subnormal: cond(a0) is 1, but the corner gate refuses

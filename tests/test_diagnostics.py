@@ -5,7 +5,7 @@ import pytest
 
 import hankelinv as hv
 from hankelinv import DataSet, LaurentPoly
-from hankelinv.errors import DegenerateError, ShapeError
+from hankelinv.errors import ShapeError
 
 from conftest import random_poly
 from support import (
@@ -111,14 +111,17 @@ def test_zeros_deg0_passes(deg0_fixture):
 
 
 def test_zeros_degenerate_det():
-    data = DataSet(
-        alpha=LaurentPoly.zero(2, 2),
-        beta=LaurentPoly.zero(2, 2),
-        gamma=LaurentPoly.zero(2, 2),
-        delta=LaurentPoly.identity(2),
-    )
-    with pytest.raises(DegenerateError):
-        hv.check_zero_locations(data)
+    # a determinant that is identically zero, or that deflates to nothing
+    # (diag(1, 1e-14) normalised by 2**-1 has det 2.5e-15 < DEFLATION_TOL),
+    # fails with value 1, what a zero at the origin reads, and the other
+    # side keeps its own verdict
+    zero, one = LaurentPoly.zero(2, 2), LaurentPoly.identity(2)
+    tiny = LaurentPoly.constant(np.diag([1.0, 1e-14]))
+    cases = (("alpha", "delta", zero, one), ("delta", "alpha", one, zero), ("alpha", "delta", tiny, one))
+    for bad, good, alpha, delta in cases:
+        rep = hv.check_zero_locations(DataSet(alpha=alpha, beta=zero, gamma=zero, delta=delta))
+        assert (rep.entry(f"{bad}_det_zeros").verdict, rep.entry(f"{bad}_det_zeros").value) == ("fail", 1.0)
+        assert rep.entry(f"{good}_det_zeros").verdict == "pass"
 
 
 # -- hankel norm --------------------------------------------------------------------
